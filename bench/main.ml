@@ -12,44 +12,7 @@ let fmt = Format.std_formatter
 (* Worker-mode escape hatch for the shard bench block: the coordinator's
    [Spawn_exec] re-executes [Sys.executable_name worker ...], and under
    the bench that is this binary (same hatch as [Test_main]). *)
-let () =
-  if Array.length Sys.argv >= 2 && Sys.argv.(1) = "worker" then begin
-    let arg flag =
-      let glued = flag ^ "=" in
-      let rec find i =
-        if i >= Array.length Sys.argv then None
-        else if Sys.argv.(i) = flag && i + 1 < Array.length Sys.argv then
-          Some Sys.argv.(i + 1)
-        else if String.starts_with ~prefix:glued Sys.argv.(i) then
-          Some (String.sub Sys.argv.(i) (String.length glued)
-                  (String.length Sys.argv.(i) - String.length glued))
-        else find (i + 1)
-      in
-      find 2
-    in
-    let mode =
-      match (arg "--connect", arg "--sock") with
-      | Some a, _ -> (
-        match Omn_shard.Transport.parse a with
-        | Ok addr -> Omn_shard.Worker.Dial addr
-        | Error _ -> exit 2)
-      | None, Some p -> Omn_shard.Worker.Dial (Omn_shard.Transport.Unix_path p)
-      | None, None -> exit 2
-    in
-    let worker = match arg "--id" with Some id -> int_of_string id | None -> -1 in
-    let auth_key =
-      match arg "--auth-key" with
-      | Some _ as k -> k
-      | None -> Sys.getenv_opt "OMN_SHARD_KEY"
-    in
-    match
-      Omn_shard.Worker.main ~worker ~mode ?auth_key ?trace_cache:(arg "--trace-cache") ()
-    with
-    | Ok () -> exit 0
-    | Error e ->
-      prerr_endline (Omn_robust.Err.to_string e);
-      exit (Omn_robust.Err.exit_code e.code)
-  end
+let () = Omn_shard.Worker.serve_if_worker_argv ()
 
 (* --- Bechamel timing benches: the §4.4 efficiency claims --- *)
 

@@ -188,6 +188,20 @@ let curve_fields (c : Omn_core.Delay_cdf.curves) =
     ("max_rounds_used", Int c.max_rounds_used);
   ]
 
+(* Every 12th budget of the grid: success under 1..4 hops and flooding. *)
+let print_curve_table (c : Omn_core.Delay_cdf.curves) =
+  Format.printf "delay        ";
+  List.iter (fun k -> Format.printf "%7s" (Printf.sprintf "%dh" k)) [ 1; 2; 3; 4 ];
+  Format.printf "   flood@.";
+  Array.iteri
+    (fun i d ->
+      if i mod 12 = 0 then begin
+        Format.printf "%-12s " (Omn_stats.Timefmt.axis_seconds d);
+        List.iter (fun k -> Format.printf "%7.3f" c.hop_success.(k - 1).(i)) [ 1; 2; 3; 4 ];
+        Format.printf "%8.3f@." c.flood_success.(i)
+      end)
+    c.grid
+
 let write_json path json =
   Omn_robust.Retry_io.write_string path (Omn_obs.Json.to_string ~pretty:true json ^ "\n")
 
@@ -683,6 +697,16 @@ let resilience_exit ~partial ~ckpt_fallback degraded =
     List.iter (fun f -> Format.printf "  %a@." Supervise.pp_failure f) fs);
   Supervise.exit_code ~partial ~degraded:(degraded <> [])
 
+(* The exact curves' delay axis: 100 log-spaced budgets up to the trace span. *)
+let delay_grid trace =
+  let span = Omn_temporal.Trace.span trace in
+  Omn_stats.Grid.logarithmic ~lo:(Float.max 1. (span /. 5000.)) ~hi:span ~n:100
+
+let partial_banner (p : Omn_core.Delay_cdf.progress) =
+  if p.partial then
+    Format.printf "PARTIAL result: budget exhausted after %d of %d source nodes (uniform sample)@."
+      p.sources_done p.sources_total
+
 (* --- sampled estimator flags (omn diameter --sample) --- *)
 
 let sample_arg =
@@ -788,45 +812,30 @@ let diameter_cmd =
           ]
       trace;
     write_checkpoint_sidecar checkpoint;
-    let span = Omn_temporal.Trace.span trace in
-    let grid =
-      Omn_stats.Grid.logarithmic ~lo:(Float.max 1. (span /. 5000.)) ~hi:span ~n:100
-    in
-    let print_result (result : Omn_core.Diameter.result) =
-      Format.printf "(1 - %g)-diameter: %s@." epsilon
-        (match result.diameter with
-        | Some d -> string_of_int d
-        | None -> Printf.sprintf "> %d" max_hops);
-      Format.printf "@.delay        ";
-      List.iter (fun k -> Format.printf "%7s" (Printf.sprintf "%dh" k)) [ 1; 2; 3; 4 ];
-      Format.printf "   flood@.";
-      Array.iteri
-        (fun i d ->
-          if i mod 12 = 0 then begin
-            Format.printf "%-12s " (Omn_stats.Timefmt.axis_seconds d);
-            List.iter
-              (fun k -> Format.printf "%7.3f" result.curves.hop_success.(k - 1).(i))
-              [ 1; 2; 3; 4 ];
-            Format.printf "%8.3f@." result.curves.flood_success.(i)
-          end)
-        result.curves.grid
-    in
-    let result_json (result : Omn_core.Diameter.result) extra =
-      let open Omn_obs.Json in
-      json_with_manifest
-        ([
-           ("epsilon", Float epsilon);
-           ("diameter", match result.diameter with Some d -> Int d | None -> Null);
-           ("max_hops", Int max_hops);
-         ]
-        @ extra @ curve_fields result.curves)
-    in
-    let deliver result extra =
+    let grid = delay_grid trace in
+    (* [head] goes before the diameter fields of the JSON result, [extra]
+       after them; [after] adds to the printed table. *)
+    let deliver ?(head = []) ?(extra = []) ?(after = ignore) diameter curves =
       match output with
       | Some f ->
-        write_json f (result_json result extra);
+        let open Omn_obs.Json in
+        write_json f
+          (json_with_manifest
+             (head
+             @ [
+                 ("epsilon", Float epsilon);
+                 ("diameter", match diameter with Some d -> Int d | None -> Null);
+                 ("max_hops", Int max_hops);
+               ]
+             @ extra @ curve_fields curves));
         Format.printf "wrote %s@." f
-      | None -> print_result result
+      | None ->
+        Format.printf "(1 - %g)-diameter: %s@.@." epsilon
+          (match diameter with
+          | Some d -> string_of_int d
+          | None -> Printf.sprintf "> %d" max_hops);
+        print_curve_table curves;
+        after ()
     in
     match sample with
     | Some sample ->
@@ -843,15 +852,15 @@ let diameter_cmd =
           report
       in
       (* Each tightening round's batch of per-source partials can come
-         from the shard coordinator instead of the in-process pool: the
-         [on_partial] hook hands every acknowledged partial back and the
-         batch is re-ordered to the estimator's contract. *)
+         from the shard coordinator instead of the in-process pool: its
+         slot order is the batch as given, and [on_partial] hands every
+         acknowledged partial back in slot order. *)
       let partials_of =
         if not (sharded workers) then None
         else
           Some
             (fun batch ->
-              let tbl = Hashtbl.create (List.length batch) in
+              let got = ref [] in
               let count, peers =
                 match workers with Wcount n -> (n, []) | Wpeers l -> (0, l)
               in
@@ -860,7 +869,7 @@ let diameter_cmd =
                   (Shard.default ~workers:count) with
                   Shard.worker_domains = domains;
                   peers;
-                  on_partial = Some (fun s p -> Hashtbl.replace tbl s p);
+                  on_partial = Some (fun _ p -> got := p :: !got);
                 }
               in
               match Shard.run ~max_hops ~grid ~sources:batch cfg trace with
@@ -868,22 +877,13 @@ let diameter_cmd =
               | Ok (_, p, _) ->
                 if p.Omn_core.Delay_cdf.partial || p.Omn_core.Delay_cdf.degraded <> [] then
                   raise (Err.Error (Err.v Err.Compute "sharded sample round incomplete"));
-                List.map
-                  (fun s ->
-                    match Hashtbl.find_opt tbl s with
-                    | Some part -> part
-                    | None ->
-                      raise
-                        (Err.Error
-                           (Err.v Err.Compute
-                              "worker returned no partial for a sampled source")))
-                  batch)
+                List.rev !got)
       in
       let est_domains = if sharded workers then 1 else domains in
       let outcome =
         Est.estimate ~epsilon ~max_hops ~sample ~seed:sample_seed ~ci_width ~confidence
           ~bootstrap ~grid ~domains:est_domains ?checkpoint ~resume ?budget_seconds:budget
-          ~clock:Unix.gettimeofday ?report ?partials_of trace
+          ?report ?partials_of trace
       in
       finish ();
       (match outcome with
@@ -897,71 +897,56 @@ let diameter_cmd =
           | Some d -> string_of_int d
           | None -> Printf.sprintf ">%d" max_hops
         in
-        (match output with
-        | Some f ->
-          let open Omn_obs.Json in
-          write_json f
-            (json_with_manifest
-               (( "sample",
-                  Obj
-                    [
-                      ("sampled", Int e.Est.sampled); ("total", Int e.Est.total);
-                      ("rounds", Int e.Est.rounds); ("seed", Int sample_seed);
-                      ("confidence", Float e.Est.confidence);
-                      ("ci_lo", match e.Est.ci_lo with Some d -> Int d | None -> Null);
-                      ("ci_hi", match e.Est.ci_hi with Some d -> Int d | None -> Null);
-                      ("ci_width", Float e.Est.ci_width);
-                      ("target_ci_width", Float ci_width);
-                      ("exhaustive", Bool e.Est.exhaustive); ("partial", Bool e.Est.partial);
-                      ("ckpt_fallback", Bool e.Est.ckpt_fallback);
-                    ] )
-                :: [
-                     ("epsilon", Float epsilon);
-                     ( "diameter",
-                       match e.Est.diameter with Some d -> Int d | None -> Null );
-                     ("max_hops", Int max_hops);
-                   ]
-               @ curve_fields e.Est.curves));
-          Format.printf "wrote %s@." f
-        | None ->
-          print_result
-            { Omn_core.Diameter.diameter = e.Est.diameter; epsilon; curves = e.Est.curves };
-          Format.printf "sampled %d of %d sources in %d round(s); %g%% CI [%s, %s] (width %g)@."
-            e.Est.sampled e.Est.total e.Est.rounds
-            (100. *. e.Est.confidence)
-            (fmt_bound e.Est.ci_lo) (fmt_bound e.Est.ci_hi) e.Est.ci_width);
-        resilience_exit ~partial:e.Est.partial ~ckpt_fallback:e.Est.ckpt_fallback [])
-    | None ->
-      if checkpoint = None && budget = None && supervise = None && not progress then begin
-        deliver (Omn_core.Diameter.measure ~epsilon ~max_hops ~grid ~domains trace) [];
-        0
-      end
-      else begin
-        let report, finish = progress_reporter ~enabled:progress "sources" in
-        let outcome =
-          Omn_core.Diameter.measure_resumable ~epsilon ~max_hops ~grid ~domains ?checkpoint
-            ~resume ~checkpoint_every:every ?budget_seconds:budget ~clock:Unix.gettimeofday
-            ?report ?supervise trace
-        in
-        finish ();
-        match outcome with
-        | Error e -> raise (Err.Error e)
-        | Ok run ->
-          if run.partial then
+        let open Omn_obs.Json in
+        deliver e.Est.diameter e.Est.curves
+          ~head:
+            [
+              ( "sample",
+                Obj
+                  [
+                    ("sampled", Int e.Est.sampled); ("total", Int e.Est.total);
+                    ("rounds", Int e.Est.rounds); ("seed", Int sample_seed);
+                    ("confidence", Float e.Est.confidence);
+                    ("ci_lo", match e.Est.ci_lo with Some d -> Int d | None -> Null);
+                    ("ci_hi", match e.Est.ci_hi with Some d -> Int d | None -> Null);
+                    ("ci_width", Float e.Est.ci_width);
+                    ("target_ci_width", Float ci_width);
+                    ("exhaustive", Bool e.Est.exhaustive); ("partial", Bool e.Est.partial);
+                    ("ckpt_fallback", Bool e.Est.ckpt_fallback);
+                  ] );
+            ]
+          ~after:(fun () ->
             Format.printf
-              "PARTIAL result: budget exhausted after %d of %d source nodes (uniform sample)@."
-              run.sources_done run.sources_total;
-          deliver run.result
-            Omn_obs.Json.
-              [
-                ("sources_done", Int run.sources_done);
-                ("sources_total", Int run.sources_total);
-                ("partial", Bool run.partial);
-                ("degraded_sources", Int (List.length run.degraded));
-                ("ckpt_fallback", Bool run.ckpt_fallback);
-              ];
-          resilience_exit ~partial:run.partial ~ckpt_fallback:run.ckpt_fallback run.degraded
-      end
+              "sampled %d of %d sources in %d round(s); %g%% CI [%s, %s] (width %g)@."
+              e.Est.sampled e.Est.total e.Est.rounds
+              (100. *. e.Est.confidence)
+              (fmt_bound e.Est.ci_lo) (fmt_bound e.Est.ci_hi) e.Est.ci_width);
+        resilience_exit ~partial:e.Est.partial ~ckpt_fallback:e.Est.ckpt_fallback [])
+    | None -> (
+      let report, finish = progress_reporter ~enabled:progress "sources" in
+      let outcome =
+        Omn_core.Delay_cdf.compute_resumable ~max_hops ~grid ~domains ?checkpoint ~resume
+          ~checkpoint_every:every ?budget_seconds:budget ?report ?supervise trace
+      in
+      finish ();
+      match outcome with
+      | Error e -> raise (Err.Error e)
+      | Ok (curves, p) ->
+        partial_banner p;
+        let plain = checkpoint = None && budget = None && supervise = None && not progress in
+        deliver (Omn_core.Diameter.of_curves ~epsilon curves) curves
+          ~extra:
+            (if plain then []
+             else
+               Omn_obs.Json.
+                 [
+                   ("sources_done", Int p.sources_done);
+                   ("sources_total", Int p.sources_total);
+                   ("partial", Bool p.partial);
+                   ("degraded_sources", Int (List.length p.degraded));
+                   ("ckpt_fallback", Bool p.ckpt_fallback);
+                 ]);
+        resilience_exit ~partial:p.partial ~ckpt_fallback:p.ckpt_fallback p.degraded)
   in
   Cmd.v
     (Cmd.info "diameter" ~doc:"Measure the (1-eps)-diameter of a trace, exactly or by sampling")
@@ -984,17 +969,7 @@ let delay_cdf_cmd =
     Arg.(value & opt (some preset_conv) None & info [ "preset" ] ~docv:"NAME" ~doc)
   in
   let print_curves (c : Omn_core.Delay_cdf.curves) =
-    Format.printf "delay        ";
-    List.iter (fun k -> Format.printf "%7s" (Printf.sprintf "%dh" k)) [ 1; 2; 3; 4 ];
-    Format.printf "   flood@.";
-    Array.iteri
-      (fun i d ->
-        if i mod 12 = 0 then begin
-          Format.printf "%-12s " (Omn_stats.Timefmt.axis_seconds d);
-          List.iter (fun k -> Format.printf "%7.3f" c.hop_success.(k - 1).(i)) [ 1; 2; 3; 4 ];
-          Format.printf "%8.3f@." c.flood_success.(i)
-        end)
-      c.grid;
+    print_curve_table c;
     Format.printf "flood success at unlimited delay: %.3f (max fixpoint rounds: %d)@."
       c.flood_success_inf c.max_rounds_used
   in
@@ -1034,10 +1009,7 @@ let delay_cdf_cmd =
           ]
       trace;
     write_checkpoint_sidecar checkpoint;
-    let span = Omn_temporal.Trace.span trace in
-    let grid =
-      Omn_stats.Grid.logarithmic ~lo:(Float.max 1. (span /. 5000.)) ~hi:span ~n:100
-    in
+    let grid = delay_grid trace in
     let report, finish = progress_reporter ~enabled:progress "sources" in
     let outcome =
       if sharded workers then begin
@@ -1101,17 +1073,13 @@ let delay_cdf_cmd =
       end
       else
         Omn_core.Delay_cdf.compute_resumable ~max_hops ~grid ~domains ?checkpoint ~resume
-          ~checkpoint_every:every ?budget_seconds:budget ~clock:Unix.gettimeofday ?report
-          ?supervise trace
+          ~checkpoint_every:every ?budget_seconds:budget ?report ?supervise trace
     in
     finish ();
     match outcome with
     | Error e -> raise (Err.Error e)
     | Ok (curves, p) ->
-      if p.partial then
-        Format.printf
-          "PARTIAL result: budget exhausted after %d of %d source nodes (uniform sample)@."
-          p.sources_done p.sources_total;
+      partial_banner p;
       (match output with
       | Some f ->
         write_json f (json_with_manifest (curve_fields curves));
@@ -1382,7 +1350,6 @@ let chaos_cmd =
        and must be quarantined exactly; flaky sources fail once and must
        recover; the surviving curves must be bit-identical to a
        fault-free run over the surviving sources. *)
-    let n = Omn_temporal.Trace.n_nodes trace in
     let poisoned = [ 3; 11 ] and flaky = [ 5; 17 ] in
     Supervise.set_task_fault
       (Some
@@ -1391,8 +1358,7 @@ let chaos_cmd =
            else if List.mem item flaky && attempt = 0 then failwith "chaos: flaky source"));
     let policy = { Supervise.default with backoff = 1e-4; backoff_max = 1e-3 } in
     let degraded_run =
-      Omn_core.Delay_cdf.compute_resumable ~max_hops ~grid ~domains ~supervise:policy
-        ~clock:Unix.gettimeofday trace
+      Omn_core.Delay_cdf.compute_resumable ~max_hops ~grid ~domains ~supervise:policy trace
     in
     Supervise.set_task_fault None;
     (match degraded_run with
@@ -1410,7 +1376,7 @@ let chaos_cmd =
       let survivors =
         List.filter
           (fun s -> not (List.mem s poisoned))
-          (Omn_core.Delay_cdf.uniform_order (List.init n (fun i -> i)))
+          (Omn_core.Delay_cdf.plan_order trace)
       in
       let reference = Omn_core.Delay_cdf.compute ~max_hops ~grid ~sources:survivors trace in
       if curves <> reference then
@@ -1422,26 +1388,23 @@ let chaos_cmd =
        run. *)
     let ckpt = Filename.temp_file "omn-chaos" ".ckpt" in
     let measure ?(resume = false) ?budget_seconds ?checkpoint () =
-      Omn_core.Diameter.measure_resumable ~max_hops ~grid ~domains ?checkpoint ~resume
-        ~checkpoint_every:4 ?budget_seconds ~clock:Unix.gettimeofday trace
+      Omn_core.Delay_cdf.compute_resumable ~max_hops ~grid ~domains ?checkpoint ~resume
+        ~checkpoint_every:4 ?budget_seconds trace
     in
     let step label r =
-      match r with
-      | Error e -> fail "%s: %s" label (Err.to_string e)
-      | Ok (run : Omn_core.Diameter.run) -> run
+      match r with Error e -> fail "%s: %s" label (Err.to_string e) | Ok run -> run
     in
-    let r1 = step "budgeted run 1" (measure ~checkpoint:ckpt ~budget_seconds:0. ()) in
-    if not r1.partial then fail "budgeted run 1 unexpectedly completed";
-    let r2 = step "budgeted run 2" (measure ~checkpoint:ckpt ~resume:true ~budget_seconds:0. ()) in
-    ignore (r2 : Omn_core.Diameter.run);
+    let _, p1 = step "budgeted run 1" (measure ~checkpoint:ckpt ~budget_seconds:0. ()) in
+    if not p1.partial then fail "budgeted run 1 unexpectedly completed";
+    ignore (step "budgeted run 2" (measure ~checkpoint:ckpt ~resume:true ~budget_seconds:0. ()));
     let data = RI.read_to_string ckpt in
     RI.write_string ckpt (Faultgen.apply ~seed Faultgen.Ckpt_flip data);
-    let r3 = step "resumed run" (measure ~checkpoint:ckpt ~resume:true ()) in
-    if not r3.ckpt_fallback then fail "corrupt checkpoint did not fall back to .prev";
-    if r3.partial then fail "resumed run did not complete";
+    let c3, p3 = step "resumed run" (measure ~checkpoint:ckpt ~resume:true ()) in
+    if not p3.ckpt_fallback then fail "corrupt checkpoint did not fall back to .prev";
+    if p3.partial then fail "resumed run did not complete";
     ok "corrupt checkpoint fell back to .prev";
-    let reference = step "uninterrupted run" (measure ()) in
-    if r3.result <> reference.result then
+    let reference, _ = step "uninterrupted run" (measure ()) in
+    if c3 <> reference then
       fail "resumed-after-corruption result differs from the uninterrupted run";
     if Sys.file_exists ckpt || Sys.file_exists (Omn_robust.Checkpoint.prev_path ckpt) then
       fail "completed run left checkpoint generations behind";

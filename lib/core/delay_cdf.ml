@@ -37,8 +37,6 @@ let create ~grid =
     total = 0.;
   }
 
-let grid t = Array.copy t.grid_
-
 (* First grid index with grid.(i) >= x, or n. *)
 let lower t x =
   let n = Array.length t.grid_ in
@@ -130,15 +128,26 @@ type curves = {
   max_rounds_used : int;
 }
 
-(* Accumulate the per-hop and flooding curves for one batch of sources.
-   Self-contained so that batches can run on separate domains: the only
-   shared value is the (frozen) trace. *)
-let compute_batch ~max_hops ~budget_grid ~is_dest ~windows trace sources =
-  let hop_accs = Array.init max_hops (fun _ -> create ~grid:budget_grid) in
-  let flood_acc = create ~grid:budget_grid in
-  let max_rounds_used = ref 0 in
+(* --- per-source partials (the merge building block) ---
+
+   A [partial] is the contribution of one source to the final curves:
+   its per-hop and flooding accumulators. Every driver folds partials
+   into a [merger] in plan order, and [merge_into] is plain float
+   addition, so the same order gives bit-identical curves whether the
+   partials came from this domain, a pool, or a shard worker
+   ([Omn_shard] ships them as Marshal payloads). *)
+
+type partial = { p_hops : t array; p_flood : t; p_rounds : int }
+
+let partial_magic = "omn-partial 1\n"
+
+(* Self-contained so that sources can run on separate domains: the
+   only shared value is the (frozen) trace. *)
+let source_work ~max_hops ~budget_grid ~is_dest ~windows trace source =
+  let p_hops = Array.init max_hops (fun _ -> create ~grid:budget_grid) in
+  let p_flood = create ~grid:budget_grid in
   let n_dest_total = Array.fold_left (fun acc d -> if d then acc + 1 else acc) 0 is_dest in
-  let add_frontiers acc source frontiers =
+  let add_frontiers acc frontiers =
     Array.iteri
       (fun dest frontier ->
         if dest <> source && is_dest.(dest) then
@@ -147,80 +156,31 @@ let compute_batch ~max_hops ~budget_grid ~is_dest ~windows trace sources =
             windows)
       frontiers
   in
-  List.iter
-    (fun source ->
-      let on_round (info : Journey.round_info) =
-        if info.hop <= max_hops then add_frontiers hop_accs.(info.hop - 1) source info.frontiers
-      in
-      let frontiers, rounds = Journey.run ~on_round trace ~source in
-      max_rounds_used := max !max_rounds_used rounds;
-      for k = rounds + 1 to max_hops do
-        add_frontiers hop_accs.(k - 1) source frontiers
-      done;
-      add_frontiers flood_acc source frontiers;
-      Metrics.incr m_sources;
-      Metrics.add m_pairs (n_dest_total - if is_dest.(source) then 1 else 0))
-    sources;
-  (hop_accs, flood_acc, !max_rounds_used)
-
-(* Fan out one task per source and merge the per-source accumulators in
-   source order. The task partition and the merge order are independent
-   of the domain count, and [Pool.run] returns results in input order,
-   so the curves are bit-identical for every [domains] (including 1):
-   parallelism changes wall-clock time only.
-
-   With [supervise], every per-source task runs under
-   [Omn_resilience.Supervise] (bounded retries, deadlines, quarantine).
-   Quarantined sources are skipped at merge time and returned as typed
-   failures; the surviving merges are exactly the sequence a fault-free
-   run restricted to the surviving sources would perform, so successful
-   results stay bit-identical. *)
-let accumulate_sources ?supervise ?pool ~domains ~max_hops ~budget_grid ~is_dest ~windows
-    ~into:(hop_accs, flood_acc, rounds) trace sources =
-  let per_source source = compute_batch ~max_hops ~budget_grid ~is_dest ~windows trace [ source ] in
-  let merge (hops', flood', rounds') =
-    Array.iteri (fun i acc -> merge_into ~dst:hop_accs.(i) acc) hops';
-    merge_into ~dst:flood_acc flood';
-    rounds := max !rounds rounds'
+  let on_round (info : Journey.round_info) =
+    if info.hop <= max_hops then add_frontiers p_hops.(info.hop - 1) info.frontiers
   in
-  match supervise with
-  | None ->
-    Array.iter merge (Pool.run ?pool ~domains per_source (Array.of_list sources));
-    []
-  | Some policy ->
-    let results =
-      Supervise.map ?pool ~domains ~id:(fun s -> s) policy per_source (Array.of_list sources)
-    in
-    Array.iter (function Ok r -> merge r | Error (_ : Supervise.failure) -> ()) results;
-    let failed = Supervise.failures results in
-    Metrics.add m_quarantined (List.length failed);
-    failed
+  let frontiers, rounds = Journey.run ~on_round trace ~source in
+  for k = rounds + 1 to max_hops do
+    add_frontiers p_hops.(k - 1) frontiers
+  done;
+  add_frontiers p_flood frontiers;
+  Metrics.incr m_sources;
+  Metrics.add m_pairs (n_dest_total - if is_dest.(source) then 1 else 0);
+  { p_hops; p_flood; p_rounds = rounds }
 
-(* --- per-source partials (the distributed-merge building block) ---
-
-   A [partial] is the contribution of one batch of sources to the final
-   curves, exactly as [compute_batch] produces it. The sharded driver
-   ([Omn_shard]) computes partials on worker processes, ships them as
-   Marshal payloads, and merges them on the coordinator with [Merger] in
-   the same slot order the single-process driver uses — [merge_into] is
-   plain float addition in an identical sequence, so the result is
-   bit-identical at any worker count. *)
-
-type partial = { p_hops : t array; p_flood : t; p_rounds : int }
-
-let partial_magic = "omn-partial 1\n"
-
-let source_partial ?(max_hops = 10) ?dests ?grid:(budget_grid = Omn_stats.Grid.delay_default)
-    ?windows trace source =
-  if max_hops < 1 then invalid_arg "Delay_cdf.source_partial: max_hops < 1";
+(* The validated parameters every entry point shares. Raises
+   [Invalid_argument]. *)
+let setup ~max_hops ?dests ?windows trace =
+  if max_hops < 1 then invalid_arg "Delay_cdf: max_hops < 1";
   let windows =
     match windows with
     | None -> [ (Trace.t_start trace, Trace.t_end trace) ]
-    | Some [] -> invalid_arg "Delay_cdf.source_partial: empty window list"
-    | Some ws -> ws
+    | Some [] -> invalid_arg "Delay_cdf: empty window list"
+    | Some ws ->
+      List.iter (fun (a, b) -> if a > b then invalid_arg "Delay_cdf: reversed window") ws;
+      ws
   in
   let n = Trace.n_nodes trace in
-  if source < 0 || source >= n then invalid_arg "Delay_cdf.source_partial: source out of range";
   let is_dest =
     match dests with
     | None -> Array.make n true
@@ -229,10 +189,14 @@ let source_partial ?(max_hops = 10) ?dests ?grid:(budget_grid = Omn_stats.Grid.d
       List.iter (fun d -> mask.(d) <- true) ds;
       mask
   in
-  let p_hops, p_flood, p_rounds =
-    compute_batch ~max_hops ~budget_grid ~is_dest ~windows trace [ source ]
-  in
-  { p_hops; p_flood; p_rounds }
+  (is_dest, windows)
+
+let source_partial ?(max_hops = 10) ?dests ?grid:(budget_grid = Omn_stats.Grid.delay_default)
+    ?windows trace source =
+  let is_dest, windows = setup ~max_hops ?dests ?windows trace in
+  if source < 0 || source >= Trace.n_nodes trace then
+    invalid_arg "Delay_cdf.source_partial: source out of range";
+  source_work ~max_hops ~budget_grid ~is_dest ~windows trace source
 
 (* Marshal is safe here: both ends run the same binary (the coordinator
    spawns its own executable as workers) and the magic prefix rejects
@@ -281,49 +245,124 @@ let merger_curves m =
     max_rounds_used = m.mg_rounds;
   }
 
-let compute ?(max_hops = 10) ?sources ?dests ?grid:(budget_grid = Omn_stats.Grid.delay_default)
-    ?pool ?(domains = 1) ?windows trace =
-  if max_hops < 1 then invalid_arg "Delay_cdf.compute: max_hops < 1";
-  if domains < 1 then invalid_arg "Delay_cdf.compute: domains < 1";
-  Omn_obs.Span.with_ ~name:"delay_cdf.compute" @@ fun () ->
-  let windows =
-    match windows with
-    | None -> [ (Trace.t_start trace, Trace.t_end trace) ]
-    | Some [] -> invalid_arg "Delay_cdf.compute: empty window list"
-    | Some ws ->
-      List.iter (fun (a, b) -> if a > b then invalid_arg "Delay_cdf.compute: reversed window") ws;
-      ws
-  in
-  let n = Trace.n_nodes trace in
-  let sources = Option.value sources ~default:(List.init n (fun i -> i)) in
-  let is_dest =
-    match dests with
-    | None -> Array.make n true
-    | Some ds ->
-      let mask = Array.make n false in
-      List.iter (fun d -> mask.(d) <- true) ds;
-      mask
-  in
-  let hop_accs = Array.init max_hops (fun _ -> create ~grid:budget_grid) in
-  let flood_acc = create ~grid:budget_grid in
-  let rounds = ref 0 in
-  let (_ : Supervise.failure list) =
-    accumulate_sources ?pool ~domains ~max_hops ~budget_grid ~is_dest ~windows
-      ~into:(hop_accs, flood_acc, rounds) trace sources
-  in
-  {
-    grid = Array.copy budget_grid;
-    hop_success = Array.map success hop_accs;
-    hop_success_inf = Array.map success_inf hop_accs;
-    flood_success = success flood_acc;
-    flood_success_inf = success_inf flood_acc;
-    max_rounds_used = !rounds;
-  }
-
-(* --- checkpointed / budgeted driver --- *)
+(* --- the source-plan driver --- *)
 
 module Err = Omn_robust.Err
 module Checkpoint = Omn_robust.Checkpoint
+
+(* Reorder sources by a stride coprime to their count so that every
+   prefix of the order is a near-uniform sample of the whole list —
+   that is what makes a budget-truncated run a fair subsample. *)
+let uniform_order sources =
+  let arr = Array.of_list sources in
+  let n = Array.length arr in
+  if n <= 2 then sources
+  else begin
+    let rec gcd a b = if b = 0 then a else gcd b (a mod b) in
+    let s = ref (max 1 (int_of_float (0.618 *. float_of_int n))) in
+    while gcd n !s <> 1 do
+      incr s
+    done;
+    List.init n (fun i -> arr.(i * !s mod n))
+  end
+
+let plan_order ?sources trace =
+  match sources with
+  | Some s -> s
+  | None -> uniform_order (List.init (Trace.n_nodes trace) Fun.id)
+
+type plan = {
+  max_hops : int;
+  budget_grid : float array;
+  is_dest : bool array;
+  windows : (float * float) list;
+  order : Omn_temporal.Node.t list;
+  batch : Omn_temporal.Node.t list -> (partial, Supervise.failure) result array;
+  out_of_budget : unit -> bool;
+}
+
+let run_plan ?(max_hops = 10) ?sources ?dests ?grid:(budget_grid = Omn_stats.Grid.delay_default)
+    ?pool ?(domains = 1) ?windows ?budget_seconds ?(clock = Unix.gettimeofday) ?supervise
+    ?partials_of trace f =
+  try
+    if domains < 1 then invalid_arg "Delay_cdf: domains < 1";
+    if Option.value budget_seconds ~default:0. < 0. then invalid_arg "Delay_cdf: negative budget";
+    let is_dest, windows = setup ~max_hops ?dests ?windows trace in
+    (* One pool for the whole run, reused batch after batch. A borrowed
+       pool is left to its owner; an owned one is shut down on every
+       exit path. *)
+    let owned = if pool = None && domains > 1 then Some (Pool.create ~domains ()) else None in
+    let pool = if owned = None then pool else owned in
+    Fun.protect ~finally:(fun () -> Option.iter Pool.shutdown owned) @@ fun () ->
+    let work = source_work ~max_hops ~budget_grid ~is_dest ~windows trace in
+    let batch sources =
+      match (partials_of, supervise) with
+      | Some f, _ ->
+        let ps = f sources in
+        if List.length ps <> List.length sources then
+          Printf.ksprintf failwith "partials_of returned %d partials for %d sources"
+            (List.length ps) (List.length sources);
+        Array.of_list (List.map Result.ok ps)
+      | None, None -> Array.map Result.ok (Pool.run ?pool ~domains work (Array.of_list sources))
+      | None, Some policy ->
+        Supervise.map ?pool ~domains ~id:Fun.id policy work (Array.of_list sources)
+    in
+    let t0 = clock () in
+    let out_of_budget () =
+      match budget_seconds with Some b -> clock () -. t0 >= b | None -> false
+    in
+    let order = plan_order ?sources trace in
+    Omn_obs.Span.with_ ~name:"delay_cdf.run" @@ fun () ->
+    Ok (f { max_hops; budget_grid; is_dest; windows; order; batch; out_of_budget })
+  with
+  | Err.Error e -> Error e
+  | Invalid_argument msg -> Error (Err.v Err.Usage msg)
+  | Sys_error msg -> Error (Err.v Err.Io msg)
+  | Failure msg ->
+    (* A source task failed with supervision off (or quarantine
+       disabled): fail the whole run with a typed error rather than
+       leaking the worker's exception through the result API. *)
+    Error (Err.v Err.Compute ("source task failed: " ^ msg))
+
+(* Clock reads for checkpoint and batch latency happen only when metrics
+   or the timeline are on; the disabled path is timing-free. *)
+let timed () = Metrics.enabled () || Timeline.enabled ()
+
+let save_snapshot ~magic path snap =
+  let timed = timed () in
+  let t0 = if timed then Unix.gettimeofday () else 0. in
+  Checkpoint.save ~magic ~path (Marshal.to_string snap []);
+  if timed then begin
+    let t1 = Unix.gettimeofday () in
+    Metrics.observe m_ckpt_s (t1 -. t0);
+    Timeline.record ~ts:t1 (Ckpt_write { path; seconds = t1 -. t0 })
+  end
+
+(* Current generation first; any failure (corruption, bad fingerprint)
+   falls back to the rotated previous generation. *)
+let load_snapshot ~magic ~fp ~fp_of ~resume path =
+  if not (resume && (Sys.file_exists path || Sys.file_exists (Checkpoint.prev_path path))) then
+    None
+  else begin
+    let validate payload =
+      match Marshal.from_string payload 0 with
+      | exception _ -> Error (Err.v ~file:path Err.Checkpoint "unreadable payload")
+      | snap when fp_of snap <> fp ->
+        Error
+          (Err.v ~file:path Err.Checkpoint
+             "checkpoint was built for a different trace or parameters")
+      | snap -> Ok snap
+    in
+    let snap, gen = Err.get_exn (Checkpoint.load ~magic ~validate path) in
+    let fallback = gen = Checkpoint.Previous in
+    if fallback then begin
+      Metrics.incr m_ckpt_fallback;
+      Timeline.record (Ckpt_fallback { path })
+    end;
+    Some (snap, fallback)
+  end
+
+(* --- the ordered fold: compute and compute_resumable --- *)
 
 type progress = {
   sources_done : int;
@@ -349,211 +388,100 @@ type snapshot = {
    snapshot. v2 files are rejected by the magic mismatch. *)
 let ckpt_magic = "omn-ckpt 3\n"
 
-let save_checkpoint path snap =
-  Checkpoint.save ~magic:ckpt_magic ~path (Marshal.to_string snap [])
-
-let decode_snapshot ~fp path payload =
-  match (Marshal.from_string payload 0 : snapshot) with
-  | exception _ -> Error (Err.v ~file:path Err.Checkpoint "unreadable payload")
-  | snap ->
-    if snap.snap_fingerprint <> fp then
-      Error
-        (Err.v ~file:path Err.Checkpoint
-           "checkpoint was built for a different trace or parameters")
-    else Ok snap
-
-(* Current generation first; any failure (corruption, bad fingerprint)
-   falls back to the rotated previous generation. *)
-let load_checkpoint ~fp path =
-  Checkpoint.load ~magic:ckpt_magic ~validate:(decode_snapshot ~fp path) path
-
-(* Reorder sources by a stride coprime to their count so that every
-   prefix of the order is a near-uniform sample of the whole list —
-   that is what makes a budget-truncated run a fair subsample. *)
-let uniform_order sources =
-  let arr = Array.of_list sources in
-  let n = Array.length arr in
-  if n <= 2 then sources
-  else begin
-    let rec gcd a b = if b = 0 then a else gcd b (a mod b) in
-    let s = ref (max 1 (int_of_float (0.618 *. float_of_int n))) in
-    while gcd n !s <> 1 do
-      incr s
-    done;
-    List.init n (fun i -> arr.(i * !s mod n))
-  end
-
-let fingerprint ~max_hops ~budget_grid ~is_dest ~windows ~order ~chunk trace =
-  Digest.to_hex
-    (Digest.string
-       (Marshal.to_string
-          ( Trace.name trace, Trace.n_nodes trace, Trace.t_start trace, Trace.t_end trace,
-            Trace.contacts trace, max_hops, budget_grid, is_dest, windows, order, chunk )
-          []))
-
-let compute_resumable ?(max_hops = 10) ?sources ?dests
-    ?grid:(budget_grid = Omn_stats.Grid.delay_default) ?pool ?(domains = 1) ?windows ?checkpoint
-    ?(resume = false) ?(checkpoint_every = 8) ?budget_seconds ?(clock = Sys.time) ?report
-    ?supervise trace =
-  try
-    if max_hops < 1 then Err.get_exn (Err.error Err.Usage "compute_resumable: max_hops < 1");
-    if domains < 1 then Err.get_exn (Err.error Err.Usage "compute_resumable: domains < 1");
-    if checkpoint_every < 1 then
-      Err.get_exn (Err.error Err.Usage "compute_resumable: checkpoint_every < 1");
-    (match budget_seconds with
-    | Some b when b < 0. ->
-      Err.get_exn (Err.error Err.Usage "compute_resumable: negative budget")
-    | _ -> ());
-    let windows =
-      match windows with
-      | None -> [ (Trace.t_start trace, Trace.t_end trace) ]
-      | Some [] -> Err.get_exn (Err.error Err.Usage "compute_resumable: empty window list")
-      | Some ws ->
-        List.iter
-          (fun (a, b) ->
-            if a > b then
-              Err.get_exn (Err.error Err.Usage "compute_resumable: reversed window"))
-          ws;
-        ws
-    in
-    let n = Trace.n_nodes trace in
-    let sources = Option.value sources ~default:(List.init n (fun i -> i)) in
-    let is_dest =
-      match dests with
-      | None -> Array.make n true
-      | Some ds ->
-        let mask = Array.make n false in
-        List.iter (fun d -> mask.(d) <- true) ds;
-        mask
-    in
-    let order = uniform_order sources in
-    let total = List.length order in
-    let fp =
-      fingerprint ~max_hops ~budget_grid ~is_dest ~windows ~order ~chunk:checkpoint_every
-        trace
-    in
-    let loaded =
-      match checkpoint with
-      | Some path
-        when resume
-             && (Sys.file_exists path || Sys.file_exists (Checkpoint.prev_path path)) -> (
-        match load_checkpoint ~fp path with
-        | Error e -> Error e
-        | Ok (snap, gen) ->
-          let fallback = gen = Checkpoint.Previous in
-          if fallback then begin
-            Metrics.incr m_ckpt_fallback;
-            Timeline.record (Ckpt_fallback { path })
-          end;
-          Ok
-            ( snap.snap_hops, snap.snap_flood, snap.snap_rounds, snap.snap_done,
-              snap.snap_degraded, fallback ))
-      | _ ->
-        Ok
-          ( Array.init max_hops (fun _ -> create ~grid:budget_grid),
-            create ~grid:budget_grid, 0, 0, [], false )
-    in
-    match loaded with
-    | Error e -> Error e
-    | Ok (hop_accs, flood_acc, rounds0, done0, degraded0, ckpt_fallback) ->
-      (* One pool for the whole run, reused chunk after chunk (spawning
-         per chunk is what the old driver did). Borrowed pools are left
-         to their owner; an owned one is shut down on every exit path. *)
-      let owned = if pool = None && domains > 1 then Some (Pool.create ~domains ()) else None in
-      let pool = match pool with Some _ as p -> p | None -> owned in
-      Fun.protect
-        ~finally:(fun () -> Option.iter Pool.shutdown owned)
-      @@ fun () ->
-      Omn_obs.Span.with_ ~name:"delay_cdf.compute_resumable" @@ fun () ->
-      let t0 = clock () in
-      (* Clock reads for chunk/checkpoint latency happen only when
-         metrics or the timeline are on; the disabled path is
-         timing-free. *)
-      let timed = Metrics.enabled () || Timeline.enabled () in
-      let done_count = ref done0 and rounds = ref rounds0 in
-      let degraded = ref (List.map Supervise.failure_of_tuple degraded0) in
-      let rec loop remaining =
-        match remaining with
-        | [] -> ()
-        | _ ->
-          let chunk, rest = Chunk.split_at checkpoint_every remaining in
-          let chunk_index = !done_count / checkpoint_every in
-          let t_chunk = if timed then Unix.gettimeofday () else 0. in
-          let failed =
-            accumulate_sources ?supervise ?pool ~domains ~max_hops ~budget_grid ~is_dest
-              ~windows ~into:(hop_accs, flood_acc, rounds) trace chunk
-          in
-          degraded := !degraded @ failed;
-          if timed then begin
-            let t1 = Unix.gettimeofday () in
-            Metrics.observe m_chunk_s (t1 -. t_chunk);
-            Timeline.record ~ts:t1
-              (Chunk { index = chunk_index; items = List.length chunk; start = t_chunk });
-            if Timeline.enabled () then begin
-              let gc = Gc.quick_stat () in
-              Timeline.record ~ts:t1
-                (Gc_sample
-                   {
-                     minor = gc.Gc.minor_collections;
-                     major = gc.Gc.major_collections;
-                     heap_words = gc.Gc.heap_words;
-                   })
-            end
-          end;
-          done_count := !done_count + List.length chunk;
-          (match checkpoint with
-          | Some path ->
-            let t_ck = if timed then Unix.gettimeofday () else 0. in
-            save_checkpoint path
-              {
-                snap_fingerprint = fp;
-                snap_done = !done_count;
-                snap_hops = hop_accs;
-                snap_flood = flood_acc;
-                snap_rounds = !rounds;
-                snap_degraded = List.map Supervise.failure_to_tuple !degraded;
-              };
-            if timed then begin
-              let t1 = Unix.gettimeofday () in
-              Metrics.observe m_ckpt_s (t1 -. t_ck);
-              Timeline.record ~ts:t1 (Ckpt_write { path; seconds = t1 -. t_ck })
-            end
-          | None -> ());
-          (match report with
-          | Some r ->
-            r ~done_:!done_count ~total ~degraded:(List.length !degraded)
-              ~fallback:ckpt_fallback
-          | None -> ());
-          let out_of_budget =
-            match budget_seconds with Some b -> clock () -. t0 >= b | None -> false
-          in
-          if not out_of_budget then loop rest
+(* Fold the plan's partials into one merger in plan order. Chunks of
+   [checkpoint_every] sources exist only when a checkpoint, a budget or
+   a report needs a boundary; otherwise the whole plan is one fan-out.
+   Chunking never changes the merge sequence, so it never changes the
+   curves. Quarantined sources are skipped at merge time: the surviving
+   merges are exactly those of a fault-free run over the surviving
+   sources. *)
+let compute_resumable ?max_hops ?sources ?dests ?grid ?pool ?domains ?windows ?checkpoint
+    ?(resume = false) ?(checkpoint_every = 8) ?budget_seconds ?report ?supervise trace =
+  run_plan ?max_hops ?sources ?dests ?grid ?pool ?domains ?windows ?budget_seconds ?supervise trace
+  @@ fun p ->
+  if checkpoint_every < 1 then invalid_arg "Delay_cdf: checkpoint_every < 1";
+  let fp =
+    if checkpoint = None then ""
+    else
+      Digest.to_hex
+        (Digest.string
+           (Marshal.to_string
+              ( Trace.name trace, Trace.n_nodes trace, Trace.t_start trace, Trace.t_end trace,
+                Trace.contacts trace, p.max_hops, p.budget_grid, p.is_dest, p.windows, p.order,
+                checkpoint_every )
+              []))
+  in
+  let m, done0, degraded0, ckpt_fallback =
+    let fp_of s = s.snap_fingerprint in
+    match Option.bind checkpoint (load_snapshot ~magic:ckpt_magic ~fp ~fp_of ~resume) with
+    | None -> (merger_create ~max_hops:p.max_hops ~grid:p.budget_grid (), 0, [], false)
+    | Some (s, fallback) ->
+      ( { mg_hops = s.snap_hops; mg_flood = s.snap_flood; mg_rounds = s.snap_rounds;
+          mg_grid = p.budget_grid },
+        s.snap_done, s.snap_degraded, fallback )
+  in
+  let total = List.length p.order in
+  let chunked = checkpoint <> None || budget_seconds <> None || report <> None in
+  let timed = timed () in
+  let done_ = ref done0 in
+  let degraded = ref (List.map Supervise.failure_of_tuple degraded0) in
+  let rec loop = function
+    | [] -> ()
+    | remaining ->
+      let chunk, rest =
+        if chunked then Chunk.split_at checkpoint_every remaining else (remaining, [])
       in
-      loop (Chunk.drop done0 order);
-      let partial = !done_count < total in
-      if not partial then Option.iter Checkpoint.remove checkpoint;
-      Ok
-        ( {
-            grid = Array.copy budget_grid;
-            hop_success = Array.map success hop_accs;
-            hop_success_inf = Array.map success_inf hop_accs;
-            flood_success = success flood_acc;
-            flood_success_inf = success_inf flood_acc;
-            max_rounds_used = !rounds;
-          },
-          {
-            sources_done = !done_count;
-            sources_total = total;
-            partial;
-            degraded = !degraded;
-            ckpt_fallback;
-          } )
-  with
-  | Err.Error e -> Error e
-  | Invalid_argument msg -> Error (Err.v Err.Usage msg)
-  | Sys_error msg -> Error (Err.v Err.Io msg)
-  | Failure msg ->
-    (* A source task failed with supervision off (or quarantine
-       disabled): fail the whole run with a typed error rather than
-       leaking the worker's exception through the result API. *)
-    Error (Err.v Err.Compute ("source task failed: " ^ msg))
+      let t_chunk = if timed then Unix.gettimeofday () else 0. in
+      let results = p.batch chunk in
+      Array.iter (function Ok part -> merger_add m part | Error _ -> ()) results;
+      let failed = Supervise.failures results in
+      Metrics.add m_quarantined (List.length failed);
+      degraded := !degraded @ failed;
+      if timed then begin
+        let t1 = Unix.gettimeofday () in
+        Metrics.observe m_chunk_s (t1 -. t_chunk);
+        Timeline.record ~ts:t1
+          (Chunk
+             { index = !done_ / checkpoint_every; items = List.length chunk; start = t_chunk });
+        if Timeline.enabled () then begin
+          let gc = Gc.quick_stat () in
+          Timeline.record ~ts:t1
+            (Gc_sample
+               {
+                 minor = gc.Gc.minor_collections;
+                 major = gc.Gc.major_collections;
+                 heap_words = gc.Gc.heap_words;
+               })
+        end
+      end;
+      done_ := !done_ + List.length chunk;
+      Option.iter
+        (fun path ->
+          save_snapshot ~magic:ckpt_magic path
+            {
+              snap_fingerprint = fp;
+              snap_done = !done_;
+              snap_hops = m.mg_hops;
+              snap_flood = m.mg_flood;
+              snap_rounds = m.mg_rounds;
+              snap_degraded = List.map Supervise.failure_to_tuple !degraded;
+            })
+        checkpoint;
+      Option.iter
+        (fun r ->
+          r ~done_:!done_ ~total ~degraded:(List.length !degraded) ~fallback:ckpt_fallback)
+        report;
+      if not (p.out_of_budget ()) then loop rest
+  in
+  loop (Chunk.drop done0 p.order);
+  let partial = !done_ < total in
+  if not partial then Option.iter Checkpoint.remove checkpoint;
+  ( merger_curves m,
+    { sources_done = !done_; sources_total = total; partial; degraded = !degraded; ckpt_fallback }
+  )
+
+let compute ?max_hops ?sources ?dests ?grid ?pool ?domains ?windows trace =
+  match compute_resumable ?max_hops ?sources ?dests ?grid ?pool ?domains ?windows trace with
+  | Ok (curves, _) -> curves
+  | Error { Err.code = Err.Usage; msg; _ } -> invalid_arg msg
+  | Error e -> raise (Err.Error e)

@@ -16,8 +16,6 @@ val create : grid:float array -> t
 (** [grid]: ascending, non-negative delay budgets (seconds).
     Raises [Invalid_argument] otherwise. *)
 
-val grid : t -> float array
-
 val add_pair : t -> t_start:float -> t_end:float -> Ld_ea.t array -> unit
 (** Accumulate one (source, destination) pair whose frontier snapshot is
     given, with creation times uniform on [[t_start, t_end]]. The pair
@@ -46,7 +44,9 @@ val merge_into : dst:t -> t -> unit
     the parallel driver below possible. Raises [Invalid_argument] on
     grid mismatch. *)
 
-(** {1 Whole-trace driver} *)
+(** {1 Whole-trace driver}
+
+    Every curve set folds per-source {!partial}s in {!plan_order}. *)
 
 type curves = {
   grid : float array;
@@ -81,8 +81,8 @@ val compute :
     shared {!Omn_parallel.Pool.t}; otherwise [domains > 1] uses a
     temporary pool of that many OCaml domains. Either way the curves
     are {e bit-identical} to the sequential run: one task per source,
-    per-source accumulators merged in source order, a partition and
-    merge order that never depend on the domain count.
+    per-source partials merged in plan order ({!plan_order}), a
+    partition and merge order that never depend on the domain count.
 
     [windows] restricts message-creation times to a union of intervals
     (e.g. day-time hours only, as in the paper's §5.3.1 aside) instead
@@ -92,13 +92,13 @@ val compute :
 
     The sharded driver ([Omn_shard]) computes one {!partial} per source
     on worker processes, ships them as opaque payloads, and folds them
-    into a {!merger} on the coordinator in slot order. Because
+    into a {!merger} on the coordinator in plan order. Because
     {!merger_add} performs exactly the [merge_into] sequence the
-    single-process drivers perform, a sharded run is bit-identical to a
+    single-process driver performs, a sharded run is bit-identical to a
     single-process run at any worker count. *)
 
 type partial
-(** One batch of sources' contribution to the final curves. *)
+(** One source's contribution to the final curves. *)
 
 val source_partial :
   ?max_hops:int ->
@@ -124,18 +124,75 @@ val merger_create : ?max_hops:int -> ?grid:float array -> unit -> merger
 (** Fresh accumulators, same defaults as {!compute}. *)
 
 val merger_add : merger -> partial -> unit
-(** Fold one partial in. Call in slot order — the merge sequence is
+(** Fold one partial in. Call in plan order — the merge sequence is
     what the bit-identity contract is defined over. Raises
     [Invalid_argument] on a [max_hops] mismatch. *)
 
 val merger_curves : merger -> curves
 
+(** {1 The source-plan driver}
+
+    The pieces {!compute_resumable} is built from, shared with
+    [Diameter_est]. *)
+
+val uniform_order : Omn_temporal.Node.t list -> Omn_temporal.Node.t list
+(** A stride order of the given sources whose every prefix is a
+    near-uniform sample of the whole list, so a budget-truncated run
+    is a fair subsample. *)
+
+val plan_order :
+  ?sources:Omn_temporal.Node.t list -> Omn_temporal.Trace.t -> Omn_temporal.Node.t list
+(** The one merge-order rule: [sources] as given, else
+    [uniform_order] of all nodes. *)
+
+type plan = private {
+  max_hops : int;
+  budget_grid : float array;
+  is_dest : bool array;
+  windows : (float * float) list;
+  order : Omn_temporal.Node.t list;  (** {!plan_order} *)
+  batch :
+    Omn_temporal.Node.t list -> (partial, Omn_resilience.Supervise.failure) result array;
+      (** the executor: one partial or quarantine failure per source, in order *)
+  out_of_budget : unit -> bool;  (** the wall-clock budget has expired *)
+}
+
+val run_plan :
+  ?max_hops:int ->
+  ?sources:Omn_temporal.Node.t list ->
+  ?dests:Omn_temporal.Node.t list ->
+  ?grid:float array ->
+  ?pool:Omn_parallel.Pool.t ->
+  ?domains:int ->
+  ?windows:(float * float) list ->
+  ?budget_seconds:float ->
+  ?clock:(unit -> float) ->
+  ?supervise:Omn_resilience.Supervise.policy ->
+  ?partials_of:(Omn_temporal.Node.t list -> partial list) ->
+  Omn_temporal.Trace.t ->
+  (plan -> 'a) ->
+  ('a, Omn_robust.Err.t) result
+(** Validate the parameters, own the pool ([domains > 1], no [pool])
+    and run the continuation on the plan. The executor is [partials_of]
+    when given, else {!source_partial} on the pool, under [supervise]
+    when given; [clock] (default [Unix.gettimeofday]) times the budget.
+    Escaping exceptions become typed errors. *)
+
+val save_snapshot : magic:string -> string -> 'a -> unit
+(** Marshal a snapshot into a CRC-framed, rotated checkpoint
+    ({!Omn_robust.Checkpoint}). *)
+
+val load_snapshot :
+  magic:string -> fp:string -> fp_of:('a -> string) -> resume:bool -> string -> ('a * bool) option
+(** With [resume] and a checkpoint on disk: the newest generation
+    whose [fp_of] is [fp], and whether it is the previous one. Raises
+    a [Checkpoint] error when none is usable. The caller must name the
+    type it saved. *)
+
 (** {1 Checkpointed / budgeted driver}
 
-    The long-run variant of {!compute} for multi-day traces: sources
-    are processed in a deterministic stride order whose prefixes are
-    near-uniform samples of the node set, in chunks of
-    [checkpoint_every]; after every chunk the full accumulator state is
+    The long-run entry point for multi-day traces: after every chunk
+    of [checkpoint_every] sources the full accumulator state is
     written atomically (temp file + rename) to the checkpoint file, so
     a killed process loses at most one chunk of work. *)
 
@@ -151,13 +208,6 @@ type progress = {
           corrupt (or rejected) and restarted from [*.ckpt.prev] *)
 }
 
-val uniform_order : Omn_temporal.Node.t list -> Omn_temporal.Node.t list
-(** The deterministic stride order {!compute_resumable} processes its
-    sources in: every prefix is a near-uniform sample of the whole
-    list. Exposed so harnesses can reproduce a degraded run's merge
-    sequence exactly — {!compute} over [uniform_order sources] minus
-    the quarantined ones performs the identical [merge_into] calls. *)
-
 val compute_resumable :
   ?max_hops:int ->
   ?sources:Omn_temporal.Node.t list ->
@@ -170,14 +220,13 @@ val compute_resumable :
   ?resume:bool ->
   ?checkpoint_every:int ->
   ?budget_seconds:float ->
-  ?clock:(unit -> float) ->
   ?report:(done_:int -> total:int -> degraded:int -> fallback:bool -> unit) ->
   ?supervise:Omn_resilience.Supervise.policy ->
   Omn_temporal.Trace.t ->
   (curves * progress, Omn_robust.Err.t) result
-(** Like {!compute} (same parallelism and determinism contract; when no
-    [pool] is given and [domains > 1], one pool is created up front and
-    reused across every chunk), plus:
+(** {!compute} with typed errors, plus the policies below. Sources run
+    in plan order; chunk boundaries exist only when a checkpoint, a
+    budget or a report needs them, and never change the curves.
     - [checkpoint]: write a CRC-32-framed checkpoint file after every
       chunk, rotating the previous generation to [*.prev]
       ({!Omn_robust.Checkpoint}); both generations are removed once
@@ -189,21 +238,19 @@ val compute_resumable :
       when the {e previous} generation is still intact the run falls
       back to it automatically ([progress.ckpt_fallback = true]),
       re-doing at most one chunk. An uninterrupted run and a
-      killed-and-resumed run produce bit-identical curves (same
-      chunking, same merge order).
+      killed-and-resumed run produce bit-identical curves (same merge
+      order).
     - [supervise]: run every per-source task under the given
       {!Omn_resilience.Supervise.policy}. Sources that exhaust their
       retries are quarantined and listed in [progress.degraded]; the
       surviving sources' contribution is bit-identical to a fault-free
-      run over the source list with the quarantined ones removed
-      (see {!uniform_order}).
+      run over the plan order with the quarantined ones removed.
     - [budget_seconds]: stop after the first chunk that exhausts the
-      budget, returning a clearly-labelled partial result over a
-      near-uniform subset of the sources ([progress.partial = true]).
-      At least one chunk always completes, so repeated budgeted
-      invocations with a checkpoint make progress. [clock] supplies
-      the time base (default [Sys.time], CPU seconds; pass a
-      wall-clock for real deadlines).
+      wall-clock budget, returning a clearly-labelled partial result
+      over a near-uniform subset of the sources
+      ([progress.partial = true]). At least one chunk always
+      completes, so repeated budgeted invocations with a checkpoint
+      make progress.
     - [checkpoint_every]: chunk size in sources (default 8). Part of
       the fingerprint — resuming requires the same value.
     - [report]: called after every chunk with the cumulative source

@@ -14,17 +14,19 @@
     Determinism and exactness contract:
     - a given (trace, parameters, seed) always produces the same
       estimate, CI and round count;
-    - when the sample reaches {e all} sources the estimator performs
-      exactly the merge sequence of {!Delay_cdf.compute} (ascending
-      source position), so the curves — and hence the diameter — are
-      {e bit-identical} to {!Diameter.measure} and the CI collapses to
-      the point ([exhaustive = true], zero width).
+    - every curve set merges its partials in ascending
+      {!Delay_cdf.plan_order} position, so when the sample reaches
+      {e all} sources the estimator performs exactly the merge sequence
+      of {!Delay_cdf.compute}: the curves — and hence the diameter —
+      are {e bit-identical} to {!Diameter.measure} and the CI collapses
+      to the point ([exhaustive = true], zero width).
 
-    Like {!Delay_cdf.compute_resumable}, the estimator is checkpoint-
-    and budget-aware: with [checkpoint] the sampled partials are saved
-    after every round (CRC-framed, rotated generations), and [resume]
-    continues from them — a killed-and-resumed run is bit-identical to
-    an uninterrupted one. *)
+    Validation, the pool, the executor, the wall-clock budget and the
+    checkpoint load/fallback come from {!Delay_cdf.run_plan}: with
+    [checkpoint] the sampled partials are saved after every round
+    (CRC-framed, rotated generations), and [resume] continues from
+    them — a killed-and-resumed run is bit-identical to an
+    uninterrupted one. *)
 
 type estimate = {
   diameter : int option;  (** point estimate over the sampled sources *)
@@ -74,10 +76,11 @@ val estimate :
     resamples per round; the interval is unioned with the point
     estimate so it always contains it. [epsilon], [max_hops],
     [sources], [dests], [grid], [pool], [domains] and [windows] are as
-    in {!Diameter.measure}; [checkpoint], [resume], [budget_seconds],
-    [clock] and [report] as in {!Delay_cdf.compute_resumable} (at
-    least one round always completes; [partial = true] marks a
-    budget-truncated estimate).
+    in {!Diameter.measure}; [checkpoint], [resume] and [budget_seconds]
+    as in {!Delay_cdf.compute_resumable} (at least one round always
+    completes; [partial = true] marks a budget-truncated estimate).
+    [clock] is the budget's time base (default [Unix.gettimeofday]).
+    [report] is called after every round.
 
     [partials_of] overrides how per-source partials are computed: it
     receives a batch of sources and must return one

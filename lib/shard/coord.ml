@@ -214,9 +214,7 @@ let run ?(max_hops = 10) ?sources ?dests ?grid ?windows ?(clock = Unix.gettimeof
       Err.errorf Io "shard: cannot create checkpoint dir: %s"
         (Unix.error_message e)
     | () ->
-    let n = Trace.n_nodes trace in
-    let sources = Option.value sources ~default:(List.init n (fun i -> i)) in
-    let order = Delay_cdf.uniform_order sources in
+    let order = Delay_cdf.plan_order ?sources trace in
     let slots = Array.of_list order in
     let nslots = Array.length slots in
     let trace_text = Trace_io.to_string trace in

@@ -375,3 +375,27 @@ let main ~worker ~mode ?auth_key ?trace_cache ?(once = false) () =
         | `Done | `Lost -> accept_loop ())
     in
     accept_loop ()
+
+let serve_if_worker_argv () =
+  match Array.to_list Sys.argv with
+  | _ :: "worker" :: args -> (
+    (* [--flag VALUE] and the glued [--flag=VALUE] form *)
+    let rec pairs = function
+      | f :: rest when String.contains f '=' ->
+        let i = String.index f '=' in
+        (String.sub f 0 i, String.sub f (i + 1) (String.length f - i - 1)) :: pairs rest
+      | f :: v :: rest -> (f, v) :: pairs rest
+      | _ -> []
+    in
+    let arg flag = List.assoc_opt flag (pairs args) in
+    let connect =
+      match Option.map Transport.parse (arg "--connect") with Some (Ok a) -> a | _ -> exit 2
+    in
+    let worker = Option.fold ~none:(-1) ~some:int_of_string (arg "--id") in
+    let auth_key = Sys.getenv_opt "OMN_SHARD_KEY" and trace_cache = arg "--trace-cache" in
+    match main ~worker ~mode:(Dial connect) ?auth_key ?trace_cache () with
+    | Ok () -> exit 0
+    | Error e ->
+      prerr_endline (Err.to_string e);
+      exit (Err.exit_code e.code))
+  | _ -> ()

@@ -63,3 +63,8 @@ val main :
     or coordinator disappearance, [Error] with [E-AUTH]/[E-PROTO]/
     [E-IO] on typed rejections. Callers that forked must follow with
     [Unix._exit]. *)
+
+val serve_if_worker_argv : unit -> unit
+(** When [Sys.argv] is the [EXE worker --id=I --connect ADDR ...] that
+    the coordinator's [Spawn_exec] re-executes, serve as that worker and
+    [exit]; otherwise return. For binaries that are their own workers. *)

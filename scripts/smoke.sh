@@ -123,7 +123,7 @@ fi
 "$OMN" delay-cdf "$tmp/clean.omn" --max-hops 6 --domains 2 --progress \
   --metrics "$SMOKE_METRICS" >/dev/null 2>"$tmp/progress.out"
 for key in '"schema": "omn-metrics 1"' 'frontier.points_pruned' 'frontier.points_kept' \
-  'pool.busy_seconds' 'delay_cdf.pairs_done' '"spans"' 'delay_cdf.compute_resumable'; do
+  'pool.busy_seconds' 'delay_cdf.pairs_done' '"spans"' 'delay_cdf.run'; do
   grep -q "$key" "$SMOKE_METRICS" || {
     echo "smoke FAIL: metrics snapshot lacks $key" >&2
     exit 1

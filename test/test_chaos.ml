@@ -350,7 +350,7 @@ let degraded_bit_identity () =
   let survivors =
     List.filter
       (fun s -> not (List.mem s poisoned))
-      (Delay_cdf.uniform_order (List.init n Fun.id))
+      (Delay_cdf.plan_order chaos_trace)
   in
   let reference = Delay_cdf.compute ~max_hops:3 ~grid ~sources:survivors chaos_trace in
   List.iter
@@ -415,16 +415,20 @@ let ckpt_fallback_recovers () =
 let diameter_threads_resilience () =
   Fun.protect ~finally:(fun () -> S.set_task_fault None) @@ fun () ->
   S.set_task_fault (Some (fun ~item ~attempt:_ -> if item = 3 then failwith "poison"));
-  let run =
-    get_ok (Diameter.measure_resumable ~max_hops:3 ~grid ~supervise:fast chaos_trace)
+  let curves, p =
+    get_ok (Delay_cdf.compute_resumable ~max_hops:3 ~grid ~supervise:fast chaos_trace)
   in
-  Alcotest.(check (list int)) "degraded surfaces in Diameter.run" [ 3 ]
-    (List.map (fun (f : S.failure) -> f.S.item) run.Diameter.degraded);
-  Alcotest.(check bool) "no fallback on a clean run" false run.Diameter.ckpt_fallback;
+  Alcotest.(check (list int)) "degraded surfaces in the progress" [ 3 ]
+    (List.map (fun (f : S.failure) -> f.S.item) p.Delay_cdf.degraded);
+  Alcotest.(check bool) "no fallback on a clean run" false p.Delay_cdf.ckpt_fallback;
+  let survivors = List.filter (fun s -> s <> 3) (Delay_cdf.plan_order chaos_trace) in
+  Alcotest.(check (option int)) "diameter of the surviving sources"
+    (Diameter.measure ~max_hops:3 ~grid ~sources:survivors chaos_trace).Diameter.diameter
+    (Diameter.of_curves curves);
   S.set_task_fault None;
-  let clean = get_ok (Diameter.measure_resumable ~max_hops:3 ~grid chaos_trace) in
+  let _, clean = get_ok (Delay_cdf.compute_resumable ~max_hops:3 ~grid chaos_trace) in
   Alcotest.(check (list int)) "clean run has no degraded sources" []
-    (List.map (fun (f : S.failure) -> f.S.item) clean.Diameter.degraded)
+    (List.map (fun (f : S.failure) -> f.S.item) clean.Delay_cdf.degraded)
 
 let metrics_flow () =
   Metrics.set_enabled true;

@@ -294,15 +294,30 @@ let ckpt_usage_errors () =
   expect_code Err.Usage (Delay_cdf.compute_resumable ~max_hops:0 ~grid ckpt_trace);
   expect_code Err.Usage (Delay_cdf.compute_resumable ~grid ~checkpoint_every:0 ckpt_trace);
   expect_code Err.Usage (Delay_cdf.compute_resumable ~grid ~budget_seconds:(-1.) ckpt_trace);
-  expect_code Err.Usage (Diameter.measure_resumable ~epsilon:0. ~grid ckpt_trace)
+  expect_code Err.Usage (Delay_cdf.compute_resumable ~grid ~windows:[ (5., 1.) ] ckpt_trace)
 
+(* The plain driver and a checkpointed one chunked by 3 merge in the
+   same plan order, so their curves agree bit for bit — on the
+   float-timed trace too, where any other merge order changes the low
+   bits. *)
 let measure_resumable_complete () =
-  let run = get_ok (Diameter.measure_resumable ~epsilon:0.01 ~max_hops:4 ~grid ckpt_trace) in
-  Alcotest.(check bool) "complete" false run.Diameter.partial;
-  Alcotest.(check int) "all sources" 8 run.Diameter.sources_total;
-  let direct = Diameter.measure ~epsilon:0.01 ~max_hops:4 ~grid ckpt_trace in
-  Alcotest.(check (option int)) "diameter agrees with measure" direct.Diameter.diameter
-    run.Diameter.result.Diameter.diameter
+  List.iter
+    (fun (label, grid, trace) ->
+      let direct = Diameter.measure ~epsilon:0.01 ~max_hops:4 ~grid trace in
+      let curves, p =
+        with_ckpt_file (fun path ->
+            get_ok
+              (Delay_cdf.compute_resumable ~max_hops:4 ~grid ~checkpoint_every:3
+                 ~checkpoint:path trace))
+      in
+      Alcotest.(check bool) (label ^ ": complete") false p.Delay_cdf.partial;
+      Alcotest.(check int) (label ^ ": all sources") (Trace.n_nodes trace)
+        p.Delay_cdf.sources_total;
+      Alcotest.(check bool) (label ^ ": curves bit-identical to measure") true
+        (curves_equal curves direct.Diameter.curves);
+      Alcotest.(check (option int)) (label ^ ": diameter agrees with measure")
+        direct.Diameter.diameter (Diameter.of_curves ~epsilon:0.01 curves))
+    [ ("integer-timed", grid, ckpt_trace); ("float-timed", Util.float_grid, Util.float_trace) ]
 
 let budget_partial_is_uniform_prefix () =
   let _, p =

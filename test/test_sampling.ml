@@ -69,27 +69,27 @@ let get = function
 let test_exhaustive_identity () =
   let errs = ref [] in
   let err fmt = Printf.ksprintf (fun s -> errs := s :: !errs) fmt in
+  let check label ~seed ~grid trace =
+    let exact = Diameter.measure ~epsilon ~max_hops ~grid trace in
+    let est =
+      get (Est.estimate ~epsilon ~max_hops ~grid ~sample:(Trace.n_nodes trace) ~seed trace)
+    in
+    if not est.Est.exhaustive then err "%s: not exhaustive" label;
+    if est.Est.diameter <> exact.Diameter.diameter then err "%s: diameter mismatch" label;
+    (* structural equality on the curves record is float-bit equality *)
+    if est.Est.curves <> exact.Diameter.curves then err "%s: curves differ" label;
+    if est.Est.ci_lo <> exact.Diameter.diameter || est.Est.ci_hi <> exact.Diameter.diameter then
+      err "%s: exhaustive CI is not the point" label;
+    if est.Est.ci_width <> 0. then err "%s: exhaustive CI width %g" label est.Est.ci_width
+  in
   List.iter
-    (fun seed ->
-      let trace = instance seed in
-      let exact = Diameter.measure ~epsilon ~max_hops ~grid trace in
-      let est =
-        get
-          (Est.estimate ~epsilon ~max_hops ~grid ~sample:(Trace.n_nodes trace) ~seed trace)
-      in
-      if not est.Est.exhaustive then err "seed %d: not exhaustive" seed;
-      if est.Est.diameter <> exact.Diameter.diameter then
-        err "seed %d: diameter mismatch" seed;
-      (* structural equality on the curves record is float-bit equality *)
-      if est.Est.curves <> exact.Diameter.curves then err "seed %d: curves differ" seed;
-      if est.Est.ci_lo <> exact.Diameter.diameter || est.Est.ci_hi <> exact.Diameter.diameter
-      then err "seed %d: exhaustive CI is not the point" seed;
-      if est.Est.ci_width <> 0. then err "seed %d: exhaustive CI width %g" seed est.Est.ci_width)
+    (fun seed -> check (Printf.sprintf "seed %d" seed) ~seed ~grid (instance seed))
     (List.init 100 (fun i -> 9000 + i));
+  check "float-timed trace" ~seed:5 ~grid:Util.float_grid Util.float_trace;
   match !errs with
   | [] -> ()
   | first :: _ ->
-    Alcotest.failf "%d identity failure(s) across 100 instances; first: %s"
+    Alcotest.failf "%d identity failure(s) across 101 instances; first: %s"
       (List.length !errs) first
 
 (* --- statistical coverage, mutation-checked --- *)

@@ -515,7 +515,14 @@ let coord_bit_identity () =
     (List.map (fun (f : S.failure) -> f.S.item) p.Delay_cdf.degraded);
   Alcotest.(check bool) "bit-identical to single-process" true (curves_equal curves reference);
   Alcotest.(check int) "exactly one spawn per worker" 3 st.Coord.spawns;
-  Alcotest.(check int) "hex shard map digest" 64 (String.length st.Coord.shard_map_sha256)
+  Alcotest.(check int) "hex shard map digest" 64 (String.length st.Coord.shard_map_sha256);
+  (* float-timed: slots merge in the plan order, so the low bits agree too *)
+  let grid = Util.float_grid in
+  match Coord.run ~max_hops ~grid (shard_cfg ~workers:3) Util.float_trace with
+  | Error e -> Alcotest.failf "sharded float-timed run failed: %s" (Omn_robust.Err.to_string e)
+  | Ok (curves, _, _) ->
+    Alcotest.(check bool) "float-timed: bit-identical to single-process" true
+      (curves_equal curves (Delay_cdf.compute ~max_hops ~grid Util.float_trace))
 
 (* Kill ALL workers early in a 40-source run. With the 2-source
    in-flight window, at most 6 initial + 3 ack-freed dispatches can

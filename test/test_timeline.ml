@@ -279,7 +279,9 @@ let test_e2e_coverage () =
   Metrics.set_enabled true;
   Timeline.set_enabled true;
   let outcome =
-    Omn_core.Delay_cdf.compute_resumable ~max_hops:4 ~domains:2 ~checkpoint_every:2 trace
+    Omn_core.Delay_cdf.compute_resumable ~max_hops:4 ~domains:2 ~checkpoint_every:2
+      ~report:(fun ~done_:_ ~total:_ ~degraded:_ ~fallback:_ -> ())
+      trace
   in
   Metrics.set_enabled m_was;
   Timeline.set_enabled t_was;
@@ -428,7 +430,34 @@ let test_report_build () =
     mark small i
   done;
   let tj = Trace_export.to_json (Timeline.snapshot ~tl:small ()) in
-  Alcotest.(check int) "drops surface" 8 (Report.dropped_events (Report.build ~timeline:tj ()))
+  Alcotest.(check int) "drops surface" 8 (Report.dropped_events (Report.build ~timeline:tj ()));
+  (* the resilience section reads the counters a supervised run with
+     one poisoned source really registers *)
+  let module S = Omn_resilience.Supervise in
+  let m_was = Metrics.enabled () in
+  Metrics.reset ();
+  Metrics.set_enabled true;
+  S.set_task_fault (Some (fun ~item ~attempt:_ -> if item = 2 then failwith "poison"));
+  let outcome =
+    Fun.protect
+      ~finally:(fun () ->
+        S.set_task_fault None;
+        Metrics.set_enabled m_was)
+      (fun () ->
+        Omn_core.Delay_cdf.compute_resumable ~max_hops:3
+          ~supervise:{ S.default with backoff = 1e-4; backoff_max = 1e-3 }
+          (Util.random_trace (Rng.create 3) ~n:6 ~m:30 ~horizon:40))
+  in
+  (match outcome with
+  | Ok (_, p) -> Alcotest.(check int) "one source quarantined" 1 (List.length p.degraded)
+  | Error e -> Alcotest.failf "supervised run failed: %s" (Omn_robust.Err.to_string e));
+  let metrics = Metrics.snapshot_to_json (Metrics.snapshot ()) in
+  match
+    Option.bind (Json.member "resilience" (Report.build ~metrics ()))
+      (Json.member "degraded_sources")
+  with
+  | Some (Json.Int 1) -> ()
+  | _ -> Alcotest.fail "report does not count the quarantined source"
 
 let suite =
   [

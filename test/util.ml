@@ -36,6 +36,16 @@ let random_trace rng ~n ~m ~horizon =
   done;
   trace_of_contacts ~n_nodes:n ~t_start:0. ~t_end:(float_of_int horizon) !contacts
 
+(* A float-timed trace: 24 nodes, ~240 point contacts at Poisson
+   instants over 4 h. Every other generator used by the tests is
+   integer-timed, and sums of integers are exact in any order; here a
+   change of merge order shows in the low bits of the curves. *)
+let float_trace =
+  Omn_randnet.Continuous.generate (Rng.create 24)
+    { n = 24; lambda = 5. /. 3600.; horizon = 4. *. 3600. }
+
+let float_grid = Omn_stats.Grid.logarithmic ~lo:10. ~hi:(4. *. 3600.) ~n:40
+
 let contains_substring haystack needle =
   let nh = String.length haystack and nn = String.length needle in
   let rec go i = i + nn <= nh && (String.sub haystack i nn = needle || go (i + 1)) in
