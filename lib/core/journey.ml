@@ -8,26 +8,27 @@ type strategy = Semi_naive | Full_recompute
    underneath it and allocates nothing per relaxation in the steady
    state:
 
-   - the contact sweep reads the trace's time-indexed CSR mirror (four
-     flat arrays in start order) instead of an array of boxed
-     [Contact.t] records;
+   - a round walks only the rows of the nodes on its [touched] list
+     (those whose delta is non-empty), reading each contact's endpoints
+     and times by index out of the trace's CSR mirror instead of an
+     array of boxed [Contact.t] records. Every candidate of a round
+     comes from the previous round's frozen delta, so neither the order
+     of the rows nor skipping the rows of untouched nodes changes the
+     round's frontiers — only how many candidates are rejected;
    - candidate descriptors travel as bare [ld]/[ea] floats straight
      into [Frontier.insert_pt] — no intermediate [Ld_ea.make];
    - each node owns two reusable scratch frontiers ([delta], holding
      the descriptors discovered last round, and [next], collecting this
      round's discoveries already Pareto-pruned), swapped and [clear]ed
-     between rounds. The old driver accumulated per-round insertions in
-     lists and re-pruned them through a throwaway [Frontier.create] per
-     touched node per round; the scratch frontiers make that pruning
+     between rounds, so the pruning of a round's discoveries is
      incremental and allocation-free.
 
    Inserting a successful frontier candidate into [next] never fails:
    if any earlier fresh point dominated it, that point (or a dominator
    of it, transitively) would still be in the destination frontier and
    would have rejected the candidate there first. So [next.(v)] is
-   exactly the Pareto antichain of the round's fresh points — the same
-   delta the list-and-reprune driver produced, in the same sorted
-   order. *)
+   exactly the Pareto antichain of the round's fresh points, in sorted
+   order, whatever order the candidates arrived in. *)
 let run_internal ?(max_rounds = 1024) ?(strategy = Semi_naive) ?on_round ?stop_after trace
     ~source =
   let n = Trace.n_nodes trace in
@@ -43,13 +44,17 @@ let run_internal ?(max_rounds = 1024) ?(strategy = Semi_naive) ?on_round ?stop_a
   let next_touched = ref (Array.make n 0) and next_touched_n = ref 0 in
   !touched.(0) <- source;
   let csr = Trace.time_csr trace in
+  let ca = csr.Trace.csr_a and cb = csr.Trace.csr_b in
   let cbeg = csr.Trace.csr_beg and cend = csr.Trace.csr_end in
-  let m = Array.length csr.Trace.csr_a in
-  let changed = ref 0 in
+  let row_off = csr.Trace.csr_row_off and rows = csr.Trace.csr_rows in
+  (* [last_j.(v)] is the delta index of the last case-(b) candidate sent
+     to [v] by the row walk numbered [last_row.(v)]; the row numbers
+     never repeat, so nothing is cleared between rows or rounds. *)
+  let last_j = Array.make n (-1) and last_row = Array.make n (-1) in
+  let row_id = ref 0 in
   (* Without flambda, every float crossing a function boundary is boxed,
-     so the sweep passes only the contact index (an immediate) and the
-     candidate coordinates are re-read from / kept in unboxed float
-     positions; [insert_cand] is the one place a candidate becomes a
+     so the candidate coordinates stay in unboxed float positions inside
+     the row walk; [insert_cand] is the one place a candidate becomes a
      pair of boxed arguments, once per emission. Both closures are
      allocated once per run, not per contact. *)
   let insert_cand to_node ld ea =
@@ -59,19 +64,26 @@ let run_internal ?(max_rounds = 1024) ?(strategy = Semi_naive) ?on_round ?stop_a
         !next_touched.(!next_touched_n) <- to_node;
         incr next_touched_n
       end;
-      Frontier.insert_scratch nxt ~ld ~ea;
-      incr changed
+      Frontier.insert_scratch nxt ~ld ~ea
     end
   in
-  (* Extend the delta of [from_node] by contact [ci] towards [to_node]:
-     the candidate case analysis of the .mli header, inlined over the
-     delta's float arrays. *)
-  let extend from_node to_node ci =
-    let d = !delta.(from_node) in
+  (* Extend the delta of [u] by every contact of its row: the candidate
+     case analysis of the .mli header, inlined over the delta's float
+     arrays. The row is in start order, so the case-(b) index [j] only
+     moves forward; and a case-(b) candidate [(ld_j, tb)] is skipped
+     when this row already sent the same [j] to the same [v], because
+     that earlier [(ld_j, tb')] with [tb' <= tb] dominates it. *)
+  let relax_row u =
+    let d = !delta.(u) in
     let dn = Frontier.size d in
-    if dn > 0 then begin
+    let dld = Frontier.ld_arr d and dea = Frontier.ea_arr d in
+    incr row_id;
+    let row = !row_id in
+    let j = ref (-1) in
+    for p = row_off.(u) to row_off.(u + 1) - 1 do
+      let ci = rows.(p) in
+      let v = if ca.(ci) = u then cb.(ci) else ca.(ci) in
       let tb = cbeg.(ci) and te = cend.(ci) in
-      let dld = Frontier.ld_arr d and dea = Frontier.ea_arr d in
       (* i = first delta index with ld >= te. *)
       let i =
         let lo = ref 0 and hi = ref dn in
@@ -81,18 +93,17 @@ let run_internal ?(max_rounds = 1024) ?(strategy = Semi_naive) ?on_round ?stop_a
         done;
         !lo
       in
-      if i < dn && dea.(i) <= te then
-        insert_cand to_node te (if dea.(i) >= tb then dea.(i) else tb);
+      if i < dn && dea.(i) <= te then insert_cand v te (if dea.(i) >= tb then dea.(i) else tb);
       (* j = last delta index with ea <= tb. *)
-      let j =
-        let lo = ref 0 and hi = ref dn in
-        while !lo < !hi do
-          let mid = (!lo + !hi) / 2 in
-          if dea.(mid) > tb then hi := mid else lo := mid + 1
-        done;
-        !lo - 1
-      in
-      if j >= 0 && dld.(j) < te then insert_cand to_node dld.(j) tb;
+      while !j + 1 < dn && dea.(!j + 1) <= tb do
+        incr j
+      done;
+      let j = !j in
+      if j >= 0 && dld.(j) < te && not (last_row.(v) = row && last_j.(v) = j) then begin
+        last_row.(v) <- row;
+        last_j.(v) <- j;
+        insert_cand v dld.(j) tb
+      end;
       (* every delta point with tb < ea <= te and ld < te, verbatim *)
       let hi =
         let lo = ref 0 and hi = ref dn in
@@ -103,16 +114,20 @@ let run_internal ?(max_rounds = 1024) ?(strategy = Semi_naive) ?on_round ?stop_a
         if !lo < i then !lo else i
       in
       for k = j + 1 to hi - 1 do
-        insert_cand to_node dld.(k) dea.(k)
+        insert_cand v dld.(k) dea.(k)
       done
-    end
+    done
   in
+  (* Returns the size of the round's delta: the number of descriptors
+     the round added to the frontiers and kept. *)
   let do_round () =
-    changed := 0;
     next_touched_n := 0;
-    for ci = 0 to m - 1 do
-      extend csr.Trace.csr_a.(ci) csr.Trace.csr_b.(ci) ci;
-      extend csr.Trace.csr_b.(ci) csr.Trace.csr_a.(ci) ci
+    for idx = 0 to !touched_n - 1 do
+      relax_row !touched.(idx)
+    done;
+    let changed = ref 0 in
+    for idx = 0 to !next_touched_n - 1 do
+      changed := !changed + Frontier.size !next.(!next_touched.(idx))
     done;
     (match strategy with
     | Semi_naive ->

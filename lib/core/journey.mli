@@ -19,18 +19,32 @@
     [s'] concatenates with [e] (its EA is no larger) and the compound
     dominates [s].
 
-    Per contact and per round the candidate set is pruned before frontier
-    insertion: from a bi-sorted delta [D] and a contact [[tb; te]], only
+    A round walks only the contact rows of the nodes whose delta is
+    non-empty (RAPTOR's marked routes, Delling, Pajor & Werneck, ALENEX
+    2012): every other node has nothing new to extend. Each row holds
+    the node's contacts in start order. Per contact [[tb; te]] of the
+    row of [u], the candidate set is pruned before frontier insertion:
+    from [u]'s bi-sorted delta [D], only
     (a) the first [P] in [D] with [ld >= te] (candidate [(te, max ea tb)]),
     (b) the last [P] with [ea <= tb] and [ld < te] (candidate [(ld, tb)]),
     (c) every [P] with [tb < ea <= te] and [ld < te] (candidate
-    [(ld, ea)]) can be undominated, so a contact costs
-    [O(log |D| + hits)] rather than [O(|D|)]. *)
+    [(ld, ea)]) can be undominated. (a) and (c) cost a binary search
+    each plus the hits. (b)'s index only moves forward along the row,
+    since [tb] never decreases; and a (b) candidate is not re-emitted
+    when the row already sent the same [P] to the same neighbour, whose
+    earlier candidate has the same [ld] and an earlier [ea]. A round
+    therefore costs [O(sum over touched u of (deg u * log |D_u| +
+    |D_u| + hits))] rather than [O(m * |D|)]. *)
 
 type round_info = {
   hop : int;  (** the round just completed; descriptors use <= [hop] contacts *)
   frontiers : Frontier.t array;  (** per destination; index [source] holds the identity *)
-  changed : int;  (** number of descriptors inserted during this round *)
+  changed : int;
+      (** size of the round's delta: the descriptors this round added to
+          the frontiers that are still members at its end, summed over
+          destinations. It does not depend on the order in which the
+          round's candidates were tried, and it is [0] exactly when no
+          frontier changed. *)
 }
 
 type strategy =

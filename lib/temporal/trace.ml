@@ -8,9 +8,8 @@ type time_csr = {
   csr_b : int array;
   csr_beg : float array;
   csr_end : float array;
-  csr_off : int array;
-  csr_t0 : float;
-  csr_bucket_w : float;
+  csr_row_off : int array;
+  csr_rows : int array;
 }
 
 type t = {
@@ -19,77 +18,48 @@ type t = {
   t_start : float;
   t_end : float;
   contacts : Contact.t array;
-  adj_off : int array;        (* length n_nodes + 1; row u = [off.(u), off.(u+1)) *)
-  adj_pack : Contact.t array; (* length 2 * n_contacts; rows sorted by start *)
-  csr : time_csr;             (* the same contacts, unboxed SoA in time order *)
+  csr : time_csr;
 }
 
 module Err = Omn_robust.Err
 
-(* CSR construction by counting sort. [contacts] is already sorted by
-   start time and every node id validated, so appending in array order
-   leaves each row sorted too. *)
-let build_index ~n_nodes contacts =
+(* The contact multiset flattened into four parallel unboxed arrays in
+   start-time order, plus the per-node rows. A mixed int/float record
+   like [Contact.t] stores its float fields boxed, so reading [contacts]
+   dereferences two heap boxes per contact; the SoA mirror is flat.
+
+   The rows are CSR-packed by counting sort: row [u] is
+   [csr_rows.(csr_row_off.(u)) .. csr_rows.(csr_row_off.(u + 1) - 1)],
+   the indices of [u]'s contacts. [contacts] is already sorted by start
+   time and every node id validated, so appending in array order leaves
+   each row sorted too. *)
+let build_csr ~n_nodes (contacts : Contact.t array) =
   let m = Array.length contacts in
+  let csr_a = Array.make m 0 and csr_b = Array.make m 0 in
+  let csr_beg = Array.make m 0. and csr_end = Array.make m 0. in
   let off = Array.make (n_nodes + 1) 0 in
-  Array.iter
-    (fun (c : Contact.t) ->
+  Array.iteri
+    (fun i (c : Contact.t) ->
+      csr_a.(i) <- c.a;
+      csr_b.(i) <- c.b;
+      csr_beg.(i) <- c.t_beg;
+      csr_end.(i) <- c.t_end;
       off.(c.a + 1) <- off.(c.a + 1) + 1;
       off.(c.b + 1) <- off.(c.b + 1) + 1)
     contacts;
   for u = 1 to n_nodes do
     off.(u) <- off.(u) + off.(u - 1)
   done;
-  if m = 0 then (off, [||])
-  else begin
-    let pack = Array.make (2 * m) contacts.(0) in
-    let cursor = Array.sub off 0 n_nodes in
-    Array.iter
-      (fun (c : Contact.t) ->
-        pack.(cursor.(c.a)) <- c;
-        cursor.(c.a) <- cursor.(c.a) + 1;
-        pack.(cursor.(c.b)) <- c;
-        cursor.(c.b) <- cursor.(c.b) + 1)
-      contacts;
-    (off, pack)
-  end
-
-(* Time-indexed CSR: the contact multiset flattened into four parallel
-   unboxed arrays in start-time order, plus bucket offsets over the
-   observation window. A mixed int/float record like [Contact.t] stores
-   its float fields boxed, so sweeping [contacts] dereferences two heap
-   boxes per contact; the SoA mirror turns the per-round relaxation
-   sweep of [Omn_core.Journey] into four sequential array reads. The
-   offsets slice the window into equal-width time buckets ([csr_off]
-   has one entry per bucket boundary, [csr_off.(k)] = first contact
-   with [t_beg >= csr_t0 + k * csr_bucket_w]), so windowed sweeps can
-   seek in O(1) instead of binary-searching. *)
-let build_time_csr ~t_start ~t_end (contacts : Contact.t array) =
-  let m = Array.length contacts in
-  let csr_a = Array.make m 0 and csr_b = Array.make m 0 in
-  let csr_beg = Array.make m 0. and csr_end = Array.make m 0. in
+  let rows = Array.make (2 * m) 0 in
+  let cursor = Array.sub off 0 n_nodes in
   Array.iteri
     (fun i (c : Contact.t) ->
-      csr_a.(i) <- c.a;
-      csr_b.(i) <- c.b;
-      csr_beg.(i) <- c.t_beg;
-      csr_end.(i) <- c.t_end)
+      rows.(cursor.(c.a)) <- i;
+      cursor.(c.a) <- cursor.(c.a) + 1;
+      rows.(cursor.(c.b)) <- i;
+      cursor.(c.b) <- cursor.(c.b) + 1)
     contacts;
-  let span = t_end -. t_start in
-  let n_buckets = if m = 0 || span <= 0. then 1 else min 4096 m in
-  let bucket_w = if span > 0. then span /. float_of_int n_buckets else 0. in
-  let csr_off = Array.make (n_buckets + 1) m in
-  let i = ref 0 in
-  for k = 0 to n_buckets - 1 do
-    let boundary = t_start +. (float_of_int k *. bucket_w) in
-    while !i < m && csr_beg.(!i) < boundary do
-      incr i
-    done;
-    csr_off.(k) <- !i
-  done;
-  (* csr_off.(n_buckets) = m: the last bucket is right-closed so the
-     contact starting exactly at t_end lands in it. *)
-  { csr_a; csr_b; csr_beg; csr_end; csr_off; csr_t0 = t_start; csr_bucket_w = bucket_w }
+  { csr_a; csr_b; csr_beg; csr_end; csr_row_off = off; csr_rows = rows }
 
 let create_array_result ?(name = "trace") ~n_nodes ~t_start ~t_end contacts =
   let exception Bad of Err.t in
@@ -118,9 +88,8 @@ let create_array_result ?(name = "trace") ~n_nodes ~t_start ~t_end contacts =
                   t_start t_end)))
       contacts;
     Array.sort Contact.compare_by_start contacts;
-    let adj_off, adj_pack = build_index ~n_nodes contacts in
-    let csr = build_time_csr ~t_start ~t_end contacts in
-    Ok { label = name; n_nodes; t_start; t_end; contacts; adj_off; adj_pack; csr }
+    let csr = build_csr ~n_nodes contacts in
+    Ok { label = name; n_nodes; t_start; t_end; contacts; csr }
   with Bad e -> Error e
 
 let create_result ?name ~n_nodes ~t_start ~t_end contact_list =
@@ -148,23 +117,24 @@ let check_node t u fn =
 
 let degree t u =
   check_node t u "degree";
-  t.adj_off.(u + 1) - t.adj_off.(u)
+  t.csr.csr_row_off.(u + 1) - t.csr.csr_row_off.(u)
 
 let node_contacts t u =
   check_node t u "node_contacts";
-  Array.sub t.adj_pack t.adj_off.(u) (t.adj_off.(u + 1) - t.adj_off.(u))
+  let off = t.csr.csr_row_off.(u) in
+  Array.init (t.csr.csr_row_off.(u + 1) - off) (fun k -> t.contacts.(t.csr.csr_rows.(off + k)))
 
 let iter_node_contacts f t u =
   check_node t u "iter_node_contacts";
-  for i = t.adj_off.(u) to t.adj_off.(u + 1) - 1 do
-    f t.adj_pack.(i)
+  for i = t.csr.csr_row_off.(u) to t.csr.csr_row_off.(u + 1) - 1 do
+    f t.contacts.(t.csr.csr_rows.(i))
   done
 
 let fold_node_contacts f init t u =
   check_node t u "fold_node_contacts";
   let acc = ref init in
-  for i = t.adj_off.(u) to t.adj_off.(u + 1) - 1 do
-    acc := f !acc t.adj_pack.(i)
+  for i = t.csr.csr_row_off.(u) to t.csr.csr_row_off.(u + 1) - 1 do
+    acc := f !acc t.contacts.(t.csr.csr_rows.(i))
   done;
   !acc
 
@@ -178,28 +148,6 @@ let pair_contacts t u v =
 
 let time_csr t = t.csr
 
-let iter_started_in t ~t0 ~t1 f =
-  let csr = t.csr in
-  let m = Array.length csr.csr_beg in
-  if m > 0 && t1 >= t0 then begin
-    (* Seek to the bucket containing t0, then walk forward. *)
-    let n_buckets = Array.length csr.csr_off - 1 in
-    let k =
-      if csr.csr_bucket_w <= 0. then 0
-      else
-        let k = int_of_float ((t0 -. csr.csr_t0) /. csr.csr_bucket_w) in
-        max 0 (min (n_buckets - 1) k)
-    in
-    let i = ref csr.csr_off.(k) in
-    while !i < m && csr.csr_beg.(!i) < t0 do
-      incr i
-    done;
-    while !i < m && csr.csr_beg.(!i) <= t1 do
-      f csr.csr_a.(!i) csr.csr_b.(!i) csr.csr_beg.(!i) csr.csr_end.(!i);
-      incr i
-    done
-  end
-
 let contact_rate t =
   let duration = span t in
   if t.n_nodes = 0 || duration <= 0. then 0.
@@ -208,7 +156,7 @@ let contact_rate t =
 let active_nodes t =
   let count = ref 0 in
   for u = 0 to t.n_nodes - 1 do
-    if t.adj_off.(u + 1) > t.adj_off.(u) then incr count
+    if t.csr.csr_row_off.(u + 1) > t.csr.csr_row_off.(u) then incr count
   done;
   !count
 

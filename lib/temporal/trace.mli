@@ -6,7 +6,7 @@
     computation and every experiment in this repository.
 
     A trace is immutable: the per-node adjacency index is built eagerly
-    at creation (CSR-packed offset + contact arrays), so a single trace
+    at creation (CSR-packed offset + contact-index arrays), so a single trace
     value can be shared by any number of domains with no synchronisation
     and no forcing protocol. *)
 
@@ -87,29 +87,25 @@ type time_csr = private {
   csr_b : int array;  (** upper endpoint of contact [i] *)
   csr_beg : float array;  (** start time of contact [i] *)
   csr_end : float array;  (** end time of contact [i] *)
-  csr_off : int array;
-      (** time-bucket offsets, length [buckets + 1]: [csr_off.(k)] is the
-          first contact with [t_beg >= csr_t0 + k * csr_bucket_w], and
-          the final entry is the contact count *)
-  csr_t0 : float;  (** window start the buckets are anchored at *)
-  csr_bucket_w : float;  (** bucket width; [0.] on degenerate windows *)
+  csr_row_off : int array;
+      (** length [n_nodes + 1]: node [u]'s row is
+          [csr_rows.(csr_row_off.(u)) .. csr_rows.(csr_row_off.(u + 1) - 1)] *)
+  csr_rows : int array;
+      (** per-node rows of contact indices [i], each row in start order;
+          every contact appears twice, once in each endpoint's row *)
 }
 (** The contact multiset mirrored as structure-of-arrays in start-time
-    order, with a bucketed time index. [Contact.t] is a mixed int/float
-    record, so its float fields are boxed and an [Array.iter] over
-    {!contacts} chases two heap pointers per contact; the CSR mirror is
-    four flat arrays read sequentially — what the per-round relaxation
-    sweep in [Omn_core.Journey] iterates. Built eagerly at {!create},
-    immutable and safe to share across domains. The arrays are owned by
-    the trace: do not mutate. *)
+    order, with the per-node adjacency rows as indices into it.
+    [Contact.t] is a mixed int/float record, so its float fields are
+    boxed and reading {!contacts} chases two heap pointers per contact;
+    the mirror is flat arrays. Its reader is the per-round relaxation
+    in [Omn_core.Journey], which walks the rows of the nodes whose delta
+    changed and reads each contact's endpoints and times by index. Built
+    eagerly at {!create}, immutable and safe to share across domains.
+    The arrays are owned by the trace: do not mutate. *)
 
 val time_csr : t -> time_csr
-(** The trace's time-indexed CSR mirror. O(1), no allocation. *)
-
-val iter_started_in : t -> t0:float -> t1:float -> (int -> int -> float -> float -> unit) -> unit
-(** [iter_started_in t ~t0 ~t1 f] calls [f a b t_beg t_end] for every
-    contact with [t0 <= t_beg <= t1], in start order, seeking via the
-    time buckets instead of scanning from the first contact. *)
+(** The trace's CSR mirror. O(1), no allocation. *)
 
 val contact_rate : t -> float
 (** Average number of contacts made by a node per unit of time — the λ of

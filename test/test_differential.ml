@@ -12,7 +12,9 @@
    Traces are drawn from four generator families (integer-grid random
    intervals, Poisson point contacts, random-waypoint motion, venue
    co-location) so the oracle sees ties, instantaneous contacts, long
-   overlapping intervals and transitive crowds. Every instance is keyed
+   overlapping intervals and transitive crowds. A fifth family, float-
+   timed same-pair slot runs, is checked against the enumeration at
+   every hop bound up to the fixpoint. Every instance is keyed
    by its seed, which is printed on failure for replay; the batch runs
    under a 2-domain pool, as the pipeline does in production. *)
 
@@ -109,18 +111,90 @@ let check_instance seed =
   done;
   !errs
 
-let test_differential () =
-  let seeds = Array.init n_instances (fun i -> 7000 + i) in
-  let all_errs =
-    Omn_parallel.Pool.with_pool ~domains:2 (fun pool ->
-        Omn_parallel.Pool.map pool check_instance seeds)
+(* Same-pair slot runs: the shape of presets sampled on a slot grid,
+   where one pair meets in several consecutive slots. Contacts come in
+   three kinds, all on a float-timed grid ([slot] is never an integer):
+   runs of consecutive touching contacts of one pair (the end of one is
+   bit-equal to the start of the next), bursts of several pairs sharing
+   a start time, and zero-length contacts. The journey's case-(b) skip
+   acts exactly on repeated same-pair contacts, so this family pins it. *)
+let slot_contacts = 16
+
+let slot_run_instance seed =
+  let rng = Rng.create seed in
+  let n = 3 + Rng.int rng 5 in
+  let slot = Rng.float_range rng 0.6 1.9 and t0 = Rng.float_range rng 0.1 0.9 in
+  let at k = t0 +. (float_of_int k *. slot) in
+  let n_slots = 12 in
+  let pair () =
+    let a = Rng.int rng n in
+    let b = (a + 1 + Rng.int rng (n - 1)) mod n in
+    (min a b, max a b)
   in
-  let errs = List.concat (Array.to_list all_errs) in
+  let contacts = ref [] and made = ref 0 in
+  let add (a, b) t_beg t_end =
+    if !made < slot_contacts then begin
+      contacts := (a, b, t_beg, t_end) :: !contacts;
+      incr made
+    end
+  in
+  while !made < slot_contacts do
+    let s = Rng.int rng n_slots in
+    match Rng.int rng 3 with
+    | 0 ->
+      let p = pair () in
+      for k = s to min (n_slots - 1) (s + Rng.int rng 4) do
+        add p (at k) (at (k + 1))
+      done
+    | 1 ->
+      for _ = 1 to 2 + Rng.int rng 2 do
+        add (pair ()) (at s) (at (s + Rng.int rng 3))
+      done
+    | _ ->
+      let t = if Rng.bool rng then at s else Rng.float_range rng (at 0) (at n_slots) in
+      add (pair ()) t t
+  done;
+  Util.trace_of_contacts ~n_nodes:n ~t_start:0. ~t_end:(at (n_slots + 1)) !contacts
+
+(* Every hop bound from 1 to the fixpoint round, for every source. *)
+let check_slot_run seed =
+  let trace = slot_run_instance seed in
+  let errs = ref [] in
+  let err fmt = Printf.ksprintf (fun s -> errs := s :: !errs) fmt in
+  for source = 0 to Trace.n_nodes trace - 1 do
+    let fix, rounds = Journey.run trace ~source in
+    for k = 1 to max 1 rounds do
+      let fast = Journey.frontiers_at_hops trace ~source ~max_hops:k in
+      let exact = Enumerate.frontiers trace ~source ~max_hops:k in
+      Array.iteri
+        (fun dest f ->
+          if not (Frontier.equal f exact.(dest)) then
+            err "seed %d: frontier mismatch (source %d, dest %d, max_hops %d)" seed source
+              dest k;
+          if k = rounds && not (Frontier.equal fix.(dest) exact.(dest)) then
+            err "seed %d: fixpoint mismatch (source %d, dest %d, %d rounds)" seed source dest
+              rounds)
+        fast
+    done
+  done;
+  !errs
+
+(* Check [count] instances seeded from [first_seed] under a 2-domain
+   pool; fail with the first disagreement. *)
+let run_family check ~first_seed ~count =
+  let errs =
+    Omn_parallel.Pool.with_pool ~domains:2 (fun pool ->
+        Omn_parallel.Pool.map pool check (Array.init count (fun i -> first_seed + i)))
+    |> Array.to_list |> List.concat
+  in
   match errs with
   | [] -> ()
   | first :: _ ->
     Alcotest.failf "%d disagreement(s) across %d instances; first: %s" (List.length errs)
-      n_instances first
+      count first
+
+let test_differential () = run_family check_instance ~first_seed:7000 ~count:n_instances
+let test_slot_runs () = run_family check_slot_run ~first_seed:9000 ~count:400
 
 (* The generator families themselves must produce what the oracles
    assume: a quick well-formedness pass over a sample of each family. *)
@@ -149,4 +223,6 @@ let suite =
     Alcotest.test_case "generator families well-formed" `Quick test_families_well_formed;
     Alcotest.test_case "journey vs enumerate vs dijkstra (200 instances)" `Slow
       test_differential;
+    Alcotest.test_case "slot runs: journey vs enumerate, every hop bound to the fixpoint" `Slow
+      test_slot_runs;
   ]

@@ -202,6 +202,42 @@ let strategies_agree () =
     done
   done
 
+(* [round_info.changed] is the size of the round's delta: per
+   destination, the points of the hop-k frontier absent from the
+   hop-(k-1) one. Computed here from [frontiers_at_hops] alone, so it
+   does not depend on the order the driver tries candidates in. *)
+let changed_is_delta_size () =
+  let rng = Rng.create 4321 in
+  for _ = 1 to 30 do
+    let n = 3 + Rng.int rng 5 in
+    let trace = Util.random_trace rng ~n ~m:(3 + Rng.int rng 20) ~horizon:30 in
+    for source = 0 to n - 1 do
+      List.iter
+        (fun strategy ->
+          let reported = ref [] in
+          let _, rounds =
+            Journey.run ~strategy ~on_round:(fun r -> reported := r.changed :: !reported) trace
+              ~source
+          in
+          let expected =
+            List.init rounds (fun i ->
+                let before = Journey.frontiers_at_hops trace ~source ~max_hops:i in
+                let after = Journey.frontiers_at_hops trace ~source ~max_hops:(i + 1) in
+                let fresh = ref 0 in
+                Array.iteri
+                  (fun v f ->
+                    let old = frontier_list before.(v) in
+                    List.iter (fun p -> if not (List.mem p old) then incr fresh) (frontier_list f))
+                  after;
+                !fresh)
+          in
+          Alcotest.(check (list int))
+            (Printf.sprintf "source %d: changed per round" source)
+            expected (List.rev !reported))
+        [ Journey.Semi_naive; Journey.Full_recompute ]
+    done
+  done
+
 let suite =
   [
     Alcotest.test_case "semi-naive = full recompute (30 random traces)" `Slow strategies_agree;
@@ -217,4 +253,5 @@ let suite =
     Alcotest.test_case "several optimal paths (Fig. 5 shape)" `Quick several_descriptors;
     Alcotest.test_case "identity on source" `Quick identity_on_source;
     Alcotest.test_case "empty trace" `Quick empty_trace;
+    Alcotest.test_case "changed = size of the round's delta" `Quick changed_is_delta_size;
   ]
