@@ -169,9 +169,17 @@ let source_work ~max_hops ~budget_grid ~is_dest ~windows trace source =
   { p_hops; p_flood; p_rounds = rounds }
 
 (* The validated parameters every entry point shares. Raises
-   [Invalid_argument]. *)
-let setup ~max_hops ?dests ?windows trace =
+   [Invalid_argument], naming the first node id outside the trace. *)
+let setup ~max_hops ?sources ?dests ?windows trace =
   if max_hops < 1 then invalid_arg "Delay_cdf: max_hops < 1";
+  let n = Trace.n_nodes trace in
+  let check_ids what =
+    List.iter (fun id ->
+        if id < 0 || id >= n then
+          invalid_arg (Printf.sprintf "Delay_cdf: %s %d out of range (n_nodes = %d)" what id n))
+  in
+  Option.iter (check_ids "source") sources;
+  Option.iter (check_ids "dest") dests;
   let windows =
     match windows with
     | None -> [ (Trace.t_start trace, Trace.t_end trace) ]
@@ -180,7 +188,6 @@ let setup ~max_hops ?dests ?windows trace =
       List.iter (fun (a, b) -> if a > b then invalid_arg "Delay_cdf: reversed window") ws;
       ws
   in
-  let n = Trace.n_nodes trace in
   let is_dest =
     match dests with
     | None -> Array.make n true
@@ -193,9 +200,7 @@ let setup ~max_hops ?dests ?windows trace =
 
 let source_partial ?(max_hops = 10) ?dests ?grid:(budget_grid = Omn_stats.Grid.delay_default)
     ?windows trace source =
-  let is_dest, windows = setup ~max_hops ?dests ?windows trace in
-  if source < 0 || source >= Trace.n_nodes trace then
-    invalid_arg "Delay_cdf.source_partial: source out of range";
+  let is_dest, windows = setup ~max_hops ~sources:[ source ] ?dests ?windows trace in
   source_work ~max_hops ~budget_grid ~is_dest ~windows trace source
 
 (* Marshal is safe here: both ends run the same binary (the coordinator
@@ -287,7 +292,7 @@ let run_plan ?(max_hops = 10) ?sources ?dests ?grid:(budget_grid = Omn_stats.Gri
   try
     if domains < 1 then invalid_arg "Delay_cdf: domains < 1";
     if Option.value budget_seconds ~default:0. < 0. then invalid_arg "Delay_cdf: negative budget";
-    let is_dest, windows = setup ~max_hops ?dests ?windows trace in
+    let is_dest, windows = setup ~max_hops ?sources ?dests ?windows trace in
     (* One pool for the whole run, reused batch after batch. A borrowed
        pool is left to its owner; an owned one is shut down on every
        exit path. *)

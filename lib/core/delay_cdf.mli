@@ -86,7 +86,11 @@ val compute :
 
     [windows] restricts message-creation times to a union of intervals
     (e.g. day-time hours only, as in the paper's §5.3.1 aside) instead
-    of the whole trace window. *)
+    of the whole trace window.
+
+    Raises [Invalid_argument] on bad parameters, among them a node id
+    in [sources] or [dests] outside [[0, n_nodes)]; the message names
+    the id. *)
 
 (** {1 Per-source partials (distributed merge)}
 
@@ -176,7 +180,9 @@ val run_plan :
     and run the continuation on the plan. The executor is [partials_of]
     when given, else {!source_partial} on the pool, under [supervise]
     when given; [clock] (default [Unix.gettimeofday]) times the budget.
-    Escaping exceptions become typed errors. *)
+    Escaping exceptions become typed errors; every id in [sources] and
+    [dests] is range-checked before a pool is spawned or a source
+    runs. *)
 
 val save_snapshot : magic:string -> string -> 'a -> unit
 (** Marshal a snapshot into a CRC-framed, rotated checkpoint

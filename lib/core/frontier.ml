@@ -11,9 +11,10 @@ type t = { mutable ld : float array; mutable ea : float array; mutable size : in
 
 (* Cumulative insertion outcomes, process-wide: a point is "kept" when it
    enters a frontier and "pruned" when domination rejects or evicts it.
-   Scratch-delta bookkeeping inserts ([insert_scratch], used by the
-   [Journey] round loop) are deliberately uncounted so the counters
-   measure real frontier traffic only. *)
+   [insert_uncounted] leaves them alone: the [Journey] round loop uses
+   it for its scratch deltas, which are bookkeeping rather than
+   frontier traffic, and for its real frontiers, whose outcomes it
+   tallies itself and reports once per run through [add_counts]. *)
 let m_kept = Omn_obs.Metrics.counter "frontier.points_kept"
 let m_pruned = Omn_obs.Metrics.counter "frontier.points_pruned"
 
@@ -71,8 +72,9 @@ let ensure_capacity t =
   end
 
 (* The uncounted core of insertion; [removed] slots [j, k) collapse into
-   the new point. Returns true iff the point became a member. *)
-let[@inline] insert_raw t ~ld ~ea =
+   the new point. Returns -1 when the point is rejected, otherwise the
+   number of members it evicted. *)
+let[@inline] insert_uncounted t ~ld ~ea =
   if Float.is_nan ld || Float.is_nan ea then invalid_arg "Frontier.insert: nan";
   let i = lower_ld t ld in
   if i < t.size && t.ea.(i) <= ea then (-1)
@@ -113,7 +115,7 @@ let[@inline] insert_raw t ~ld ~ea =
   end
 
 let[@inline] insert_pt t ~ld ~ea =
-  match insert_raw t ~ld ~ea with
+  match insert_uncounted t ~ld ~ea with
   | -1 ->
     Omn_obs.Metrics.incr m_pruned;
     false (* dominated (or equal) *)
@@ -122,7 +124,9 @@ let[@inline] insert_pt t ~ld ~ea =
     if removed > 0 then Omn_obs.Metrics.add m_pruned removed;
     true
 
-let[@inline] insert_scratch t ~ld ~ea = ignore (insert_raw t ~ld ~ea)
+let add_counts ~kept ~pruned =
+  Omn_obs.Metrics.add m_kept kept;
+  Omn_obs.Metrics.add m_pruned pruned
 
 let insert t (p : Ld_ea.t) = insert_pt t ~ld:p.ld ~ea:p.ea
 

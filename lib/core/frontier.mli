@@ -91,7 +91,15 @@ val pp : Format.formatter -> t -> unit
 
 (**/**)
 
-val insert_scratch : t -> ld:float -> ea:float -> unit
-(** Insert without touching the kept/pruned metrics — for bookkeeping
-    frontiers (the [Journey] round deltas) whose traffic would distort
-    the counters that measure real frontier work. *)
+val insert_uncounted : t -> ld:float -> ea:float -> int
+(** {!insert_pt} without touching the kept/pruned metrics, reporting
+    the outcome: [-1] when the point is rejected (dominated, or already
+    present), otherwise the number of members it evicted. For
+    bookkeeping frontiers (the [Journey] round deltas), and for callers
+    that tally the outcomes themselves and report them with
+    {!add_counts}. *)
+
+val add_counts : kept:int -> pruned:int -> unit
+(** Add tallied outcomes to the [frontier.points_kept] and
+    [frontier.points_pruned] counters: a kept point entered a frontier,
+    a pruned one was rejected or evicted. *)

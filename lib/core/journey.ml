@@ -37,7 +37,7 @@ let run_internal ?(max_rounds = 1024) ?(strategy = Semi_naive) ?on_round ?stop_a
   let _ = Frontier.insert frontiers.(source) Ld_ea.identity in
   let delta = ref (Array.init n (fun _ -> Frontier.create ())) in
   let next = ref (Array.init n (fun _ -> Frontier.create ())) in
-  Frontier.insert_scratch !delta.(source) ~ld:Ld_ea.identity.ld ~ea:Ld_ea.identity.ea;
+  ignore (Frontier.insert_uncounted !delta.(source) ~ld:Ld_ea.identity.ld ~ea:Ld_ea.identity.ea);
   (* Touched-node stacks (this round's and next round's), reused across
      rounds; [next.(v)]'s emptiness dedups membership. *)
   let touched = ref (Array.make n 0) and touched_n = ref 1 in
@@ -56,42 +56,71 @@ let run_internal ?(max_rounds = 1024) ?(strategy = Semi_naive) ?on_round ?stop_a
      so the candidate coordinates stay in unboxed float positions inside
      the row walk; [insert_cand] is the one place a candidate becomes a
      pair of boxed arguments, once per emission. Both closures are
-     allocated once per run, not per contact. *)
+     allocated once per run, not per contact. The frontier inserts are
+     uncounted: [kept] and [pruned] tally their outcomes, and the run
+     adds the tallies to the frontier metrics once, when it ends. *)
+  let kept = ref 0 and pruned = ref 0 in
   let insert_cand to_node ld ea =
-    if Frontier.insert_pt frontiers.(to_node) ~ld ~ea then begin
+    let evicted = Frontier.insert_uncounted frontiers.(to_node) ~ld ~ea in
+    if evicted < 0 then incr pruned
+    else begin
+      incr kept;
+      pruned := !pruned + evicted;
       let nxt = !next.(to_node) in
       if Frontier.is_empty nxt then begin
         !next_touched.(!next_touched_n) <- to_node;
         incr next_touched_n
       end;
-      Frontier.insert_scratch nxt ~ld ~ea
+      ignore (Frontier.insert_uncounted nxt ~ld ~ea)
     end
   in
   (* Extend the delta of [u] by every contact of its row: the candidate
      case analysis of the .mli header, inlined over the delta's float
-     arrays. The row is in start order, so the case-(b) index [j] only
-     moves forward; and a case-(b) candidate [(ld_j, tb)] is skipped
-     when this row already sent the same [j] to the same [v], because
-     that earlier [(ld_j, tb')] with [tb' <= tb] dominates it. *)
+     arrays. The row is in start order and [tb] never decreases along
+     it, so the delta positions that depend on [tb] only move forward:
+     [p], the first index with [ld >= tb], and the case-(b) index [j].
+     Case (a)'s index [i], the first with [ld >= te], is at least [p]
+     and is galloped for from there — usually one comparison, since
+     most contacts span few delta departures. Case (c) scans forward
+     from [j + 1] and stops at the first point it does not emit. A
+     case-(b) candidate [(ld_j, tb)] is skipped when this row already
+     sent the same [j] to the same [v], because that earlier
+     [(ld_j, tb')] with [tb' <= tb] dominates it. So a row walk costs
+     [O(deg + |D| + sum of log gaps + hits)], with no per-contact
+     binary search over the delta. *)
   let relax_row u =
     let d = !delta.(u) in
     let dn = Frontier.size d in
     let dld = Frontier.ld_arr d and dea = Frontier.ea_arr d in
     incr row_id;
     let row = !row_id in
-    let j = ref (-1) in
-    for p = row_off.(u) to row_off.(u + 1) - 1 do
-      let ci = rows.(p) in
+    let p = ref 0 and j = ref (-1) in
+    for r = row_off.(u) to row_off.(u + 1) - 1 do
+      let ci = rows.(r) in
       let v = if ca.(ci) = u then cb.(ci) else ca.(ci) in
       let tb = cbeg.(ci) and te = cend.(ci) in
-      (* i = first delta index with ld >= te. *)
+      while !p < dn && dld.(!p) < tb do
+        incr p
+      done;
+      (* i = first delta index with ld >= te: probe p, then p + 1, p + 2,
+         p + 4, ... until a probe reaches [te] or passes the end, then
+         binary-search the last doubling. *)
       let i =
-        let lo = ref 0 and hi = ref dn in
-        while !lo < !hi do
-          let mid = (!lo + !hi) / 2 in
-          if dld.(mid) >= te then hi := mid else lo := mid + 1
-        done;
-        !lo
+        let p = !p in
+        if p >= dn || dld.(p) >= te then p
+        else begin
+          let step = ref 1 in
+          while p + !step < dn && dld.(p + !step) < te do
+            step := 2 * !step
+          done;
+          let lo = ref (p + (!step / 2) + 1) in
+          let hi = ref (if p + !step < dn then p + !step else dn) in
+          while !lo < !hi do
+            let mid = (!lo + !hi) / 2 in
+            if dld.(mid) >= te then hi := mid else lo := mid + 1
+          done;
+          !lo
+        end
       in
       if i < dn && dea.(i) <= te then insert_cand v te (if dea.(i) >= tb then dea.(i) else tb);
       (* j = last delta index with ea <= tb. *)
@@ -105,16 +134,10 @@ let run_internal ?(max_rounds = 1024) ?(strategy = Semi_naive) ?on_round ?stop_a
         insert_cand v dld.(j) tb
       end;
       (* every delta point with tb < ea <= te and ld < te, verbatim *)
-      let hi =
-        let lo = ref 0 and hi = ref dn in
-        while !lo < !hi do
-          let mid = (!lo + !hi) / 2 in
-          if dea.(mid) > te then hi := mid else lo := mid + 1
-        done;
-        if !lo < i then !lo else i
-      in
-      for k = j + 1 to hi - 1 do
-        insert_cand v dld.(k) dea.(k)
+      let k = ref (j + 1) in
+      while !k < i && dea.(!k) <= te do
+        insert_cand v dld.(!k) dea.(!k);
+        incr k
       done
     done
   in
@@ -176,7 +199,11 @@ let run_internal ?(max_rounds = 1024) ?(strategy = Semi_naive) ?on_round ?stop_a
       | _ -> loop (round + 1)
     end
   in
-  let rounds = loop 1 in
+  let rounds =
+    Fun.protect
+      ~finally:(fun () -> Frontier.add_counts ~kept:!kept ~pruned:!pruned)
+      (fun () -> loop 1)
+  in
   (frontiers, rounds)
 
 let run ?max_rounds ?strategy ?on_round trace ~source =

@@ -28,13 +28,20 @@
     (a) the first [P] in [D] with [ld >= te] (candidate [(te, max ea tb)]),
     (b) the last [P] with [ea <= tb] and [ld < te] (candidate [(ld, tb)]),
     (c) every [P] with [tb < ea <= te] and [ld < te] (candidate
-    [(ld, ea)]) can be undominated. (a) and (c) cost a binary search
-    each plus the hits. (b)'s index only moves forward along the row,
-    since [tb] never decreases; and a (b) candidate is not re-emitted
-    when the row already sent the same [P] to the same neighbour, whose
-    earlier candidate has the same [ld] and an earlier [ea]. A round
-    therefore costs [O(sum over touched u of (deg u * log |D_u| +
-    |D_u| + hits))] rather than [O(m * |D|)]. *)
+    [(ld, ea)]) can be undominated. Along the row [tb] never decreases,
+    so two delta positions only move forward: [p], the first [P] with
+    [ld >= tb], and (b)'s index. (a)'s index is at least [p] and is
+    found by a galloping (exponential) search from [p], whose cost is
+    logarithmic in the number of departures the contact spans — one
+    comparison when it spans none. (c)'s range starts just after (b)'s
+    index and is scanned until its first non-emitted point. A (b)
+    candidate is not re-emitted when the row already sent the same [P]
+    to the same neighbour, whose earlier candidate has the same [ld]
+    and an earlier [ea]. A round therefore costs [O(sum over touched u
+    of (deg u + |D_u| + sum of log gaps + hits))], where a contact's
+    gap is the number of delta departures in [[tb, te)] — no
+    per-contact binary search over the delta — rather than
+    [O(m * |D|)]. *)
 
 type round_info = {
   hop : int;  (** the round just completed; descriptors use <= [hop] contacts *)

@@ -238,6 +238,39 @@ let changed_is_delta_size () =
     done
   done
 
+(* The row walk's forward pointers and gallop, on a trace built so that
+   each search path is taken at a known spot. Relay 1 meets source 0 in
+   14 short contacts [10k, 10k + 1], so its round-2 delta holds the 14
+   departures ld_k = 10k + 1 (arrivals ea_k = 10k). Seven later long
+   contacts of its row, each to its own node, span 0, 1, 2, 3, 5, 8 and
+   all of the departures still ahead of their start: case (a)'s index
+   is then found at the gallop's first probe, after each doubling, and
+   at the clamp to the delta's end; the spans of 8 and "all" fail if the
+   last doubling's upper bound is one short or clamped one short. *)
+let long_contacts_span_departures () =
+  let relay_meets = List.init 14 (fun k -> (0, 1, 10. *. float k, (10. *. float k) +. 1.)) in
+  (* (dest, tb, te): the departures in [tb, te) are the spanned ones. *)
+  let long =
+    [
+      (2, 2., 10.5) (* none: ld_1 = 11 is already past te *);
+      (3, 12., 30.5) (* ld_2 *);
+      (4, 13., 40.5) (* ld_2, ld_3 *);
+      (5, 14., 50.5) (* ld_2 .. ld_4 *);
+      (6, 22., 80.5) (* ld_3 .. ld_7 *);
+      (7, 23., 110.5) (* ld_3 .. ld_10 *);
+      (8, 24., 200.) (* ld_3 .. ld_13: every one left *);
+    ]
+  in
+  let trace =
+    Util.trace_of_contacts (relay_meets @ List.map (fun (v, tb, te) -> (1, v, tb, te)) long)
+  in
+  let full, rounds = Journey.run trace ~source:0 in
+  List.iter
+    (fun (v, _, _) ->
+      Alcotest.(check bool) (Printf.sprintf "node %d reached" v) false (Frontier.is_empty full.(v)))
+    long;
+  check_against_enumeration trace ~max_hops:(rounds + 1)
+
 let suite =
   [
     Alcotest.test_case "semi-naive = full recompute (30 random traces)" `Slow strategies_agree;
@@ -254,4 +287,6 @@ let suite =
     Alcotest.test_case "identity on source" `Quick identity_on_source;
     Alcotest.test_case "empty trace" `Quick empty_trace;
     Alcotest.test_case "changed = size of the round's delta" `Quick changed_is_delta_size;
+    Alcotest.test_case "long contact spans many delta departures" `Quick
+      long_contacts_span_departures;
   ]

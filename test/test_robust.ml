@@ -6,6 +6,7 @@ module Trace = Omn_temporal.Trace
 module Trace_io = Omn_temporal.Trace_io
 module Delay_cdf = Omn_core.Delay_cdf
 module Diameter = Omn_core.Diameter
+module Diameter_est = Omn_core.Diameter_est
 module Rng = Omn_stats.Rng
 
 let get_ok = function
@@ -294,7 +295,30 @@ let ckpt_usage_errors () =
   expect_code Err.Usage (Delay_cdf.compute_resumable ~max_hops:0 ~grid ckpt_trace);
   expect_code Err.Usage (Delay_cdf.compute_resumable ~grid ~checkpoint_every:0 ckpt_trace);
   expect_code Err.Usage (Delay_cdf.compute_resumable ~grid ~budget_seconds:(-1.) ckpt_trace);
-  expect_code Err.Usage (Delay_cdf.compute_resumable ~grid ~windows:[ (5., 1.) ] ckpt_trace)
+  expect_code Err.Usage (Delay_cdf.compute_resumable ~grid ~windows:[ (5., 1.) ] ckpt_trace);
+  (* Node ids outside the trace are rejected up front, by name. *)
+  let n = Trace.n_nodes ckpt_trace in
+  let expect_range what id r =
+    match r with
+    | Error { Err.code = Err.Usage; msg; _ } ->
+      let want = Printf.sprintf "%s %d out of range (n_nodes = %d)" what id n in
+      if not (Util.contains_substring msg want) then Alcotest.failf "message %S lacks %S" msg want
+    | Error e -> Alcotest.failf "expected E-USAGE, got %s" (Err.to_string e)
+    | Ok _ -> Alcotest.failf "%s %d accepted" what id
+  in
+  List.iter
+    (fun id ->
+      expect_range "dest" id (Delay_cdf.compute_resumable ~grid ~dests:[ 0; id ] ckpt_trace);
+      expect_range "source" id
+        (Delay_cdf.compute_resumable ~grid ~domains:2 ~sources:[ 0; id ] ckpt_trace);
+      expect_range "source" id
+        (Diameter_est.estimate ~grid ~sample:2 ~sources:[ id; 0 ] ckpt_trace))
+    [ n; -1 ];
+  match Diameter.measure ~grid ~sources:[ n ] ckpt_trace with
+  | _ -> Alcotest.fail "Diameter.measure accepted an out-of-range source"
+  | exception Invalid_argument msg ->
+    Alcotest.(check bool) "measure names the id" true
+      (Util.contains_substring msg (Printf.sprintf "source %d out of range" n))
 
 (* The plain driver and a checkpointed one chunked by 3 merge in the
    same plan order, so their curves agree bit for bit — on the
