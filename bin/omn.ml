@@ -575,8 +575,8 @@ let workers_arg =
      over TCP. $(b,0) (default) computes in-process. Results are byte-identical to \
      the in-process run at any worker count, even when workers are killed, \
      partitioned or joined mid-run. With workers, $(b,--domains) sets each worker's \
-     own domain-pool size. Incompatible with $(b,--checkpoint)/$(b,--resume); see \
-     $(b,--worker-ckpt-dir) for the sharded equivalent."
+     own domain-pool size; $(b,--checkpoint), $(b,--resume), $(b,--budget-seconds) and \
+     $(b,--progress) work as in process, and a checkpoint resumes under either."
   in
   Arg.(value & opt workers_conv (Wcount 0) & info [ "workers" ] ~docv:"W" ~doc)
 
@@ -632,13 +632,6 @@ let heartbeat_timeout_arg =
   in
   Arg.(value & opt float 5. & info [ "heartbeat-timeout" ] ~docv:"S" ~doc)
 
-let worker_ckpt_dir_arg =
-  let doc =
-    "Directory for per-worker shard checkpoints: a killed-and-respawned worker resumes \
-     its completed sources from here instead of recomputing them."
-  in
-  Arg.(value & opt (some string) None & info [ "worker-ckpt-dir" ] ~docv:"DIR" ~doc)
-
 let shard_fault_conv =
   let parse s =
     let err () =
@@ -677,11 +670,66 @@ let shard_fault_arg =
   in
   Arg.(value & opt_all shard_fault_conv [] & info [ "shard-fault" ] ~docv:"SPEC" ~doc)
 
-let shard_supervise (p : Supervise.policy option) =
-  Option.map
-    (fun (p : Supervise.policy) ->
-      (p.Supervise.retries, p.Supervise.backoff, p.Supervise.backoff_max, p.Supervise.jitter_seed))
-    p
+(* One fleet configuration for every command that shards. The key comes
+   from --auth-key, else OMN_SHARD_KEY (which spawned workers inherit);
+   the workers run the whole supervision policy. *)
+let fleet_config ?(hb_timeout = 5.) ?supervise ?listen ?auth_key ?worker_trace_cache
+    ?(shard_faults = []) ?stat_addr ~telemetry ~domains workers =
+  let count, peers = match workers with Wcount n -> (n, []) | Wpeers l -> (0, l) in
+  let cfg = Shard.default ~workers:count in
+  {
+    cfg with
+    Shard.worker_domains = domains;
+    heartbeat_timeout = hb_timeout;
+    supervise;
+    listen;
+    peers;
+    auth_key = auth_key_resolve auth_key;
+    worker_trace_cache;
+    chaos =
+      List.sort
+        (fun (a : Faultgen.shard_event) b -> compare a.after_results b.after_results)
+        shard_faults;
+    (* a fault schedule needs the victim to still hold undispatched
+       work when the fault fires, or failover degenerates into a
+       socket-buffer race; pin the flow-control window like the chaos
+       harness does *)
+    max_inflight = (if shard_faults = [] then cfg.Shard.max_inflight else 2);
+    (* pull worker telemetry whenever this run writes obs artifacts or
+       serves live stats; never affects results *)
+    telemetry = telemetry || stat_addr <> None;
+    stat_addr;
+    on_stat_bound =
+      Some (fun a -> Format.eprintf "omn: fleet stats on %s@." (Transport.to_string a));
+  }
+
+(* Run [f] on one fleet's executor. The fleet's telemetry, worker count
+   and placement digest reach the run's artifacts, and failover,
+   rejected handshakes and membership changes are summarized on
+   stderr. *)
+let with_shard_fleet ~max_hops ~grid cfg workers trace f =
+  match Shard.with_fleet ~max_hops ~grid cfg trace f with
+  | Error e -> Error e
+  | Ok (outcome, stats) ->
+    fleet_telemetry := stats.Shard.fleet;
+    update_manifest (fun m ->
+        {
+          m with
+          Omn_obs.Manifest.workers = Some (workers_fleet workers);
+          shard_map_sha256 = Some stats.Shard.shard_map_sha256;
+        });
+    if stats.Shard.reassigned > 0 || stats.Shard.rejoins > 0 then
+      Format.eprintf
+        "omn: shard failover: %d source(s) reassigned, %d worker spawn(s), %d rejoin(s), %d \
+         duplicate result(s) dropped@."
+        stats.Shard.reassigned stats.Shard.spawns stats.Shard.rejoins stats.Shard.duplicates;
+    if stats.Shard.auth_rejects > 0 then
+      Format.eprintf "omn: shard auth: %d connection(s) rejected (E-AUTH)@."
+        stats.Shard.auth_rejects;
+    if stats.Shard.joins > 0 || stats.Shard.leaves > 0 then
+      Format.eprintf "omn: shard membership: %d join(s), %d leave(s)@." stats.Shard.joins
+        stats.Shard.leaves;
+    outcome
 
 (* Report fallback/quarantine outcomes and pick the documented exit
    code via the one shared precedence rule: partial (124) beats
@@ -851,39 +899,32 @@ let diameter_cmd =
             r ~done_:sampled ~total ~degraded:0 ~fallback:false)
           report
       in
-      (* Each tightening round's batch of per-source partials can come
-         from the shard coordinator instead of the in-process pool: its
-         slot order is the batch as given, and [on_partial] hands every
-         acknowledged partial back in slot order. *)
-      let partials_of =
-        if not (sharded workers) then None
-        else
-          Some
-            (fun batch ->
-              let got = ref [] in
-              let count, peers =
-                match workers with Wcount n -> (n, []) | Wpeers l -> (0, l)
-              in
-              let cfg =
-                {
-                  (Shard.default ~workers:count) with
-                  Shard.worker_domains = domains;
-                  peers;
-                  on_partial = Some (fun _ p -> got := p :: !got);
-                }
-              in
-              match Shard.run ~max_hops ~grid ~sources:batch cfg trace with
-              | Error e -> raise (Err.Error e)
-              | Ok (_, p, _) ->
-                if p.Omn_core.Delay_cdf.partial || p.Omn_core.Delay_cdf.degraded <> [] then
-                  raise (Err.Error (Err.v Err.Compute "sharded sample round incomplete"));
-                List.rev !got)
-      in
-      let est_domains = if sharded workers then 1 else domains in
-      let outcome =
+      let estimate ?partials_of () =
         Est.estimate ~epsilon ~max_hops ~sample ~seed:sample_seed ~ci_width ~confidence
-          ~bootstrap ~grid ~domains:est_domains ?checkpoint ~resume ?budget_seconds:budget
-          ?report ?partials_of trace
+          ~bootstrap ~grid ~domains ?checkpoint ~resume ?budget_seconds:budget ?report
+          ?partials_of trace
+      in
+      (* Every tightening round is one batch on the same fleet. The
+         estimator takes bare partials: a source the fleet could not
+         compute fails the run, as it would in process. *)
+      let outcome =
+        if not (sharded workers) then estimate ()
+        else
+          let cfg =
+            fleet_config ~domains ~telemetry:(metrics <> None || trace_out <> None) workers
+          in
+          with_shard_fleet ~max_hops ~grid cfg workers trace @@ fun executor ->
+          estimate
+            ~partials_of:(fun batch ->
+              Array.to_list (executor batch)
+              |> List.map (function
+                   | Ok p -> p
+                   | Error f ->
+                     raise
+                       (Err.Error
+                          (Err.v Err.Compute
+                             (Format.asprintf "source task failed: %a" Supervise.pp_failure f)))))
+            ()
       in
       finish ();
       (match outcome with
@@ -975,13 +1016,9 @@ let delay_cdf_cmd =
   in
   let run path preset seed ingest lenient max_hops domains checkpoint resume every budget
       metrics trace_out progress retries task_deadline quarantine workers hb_timeout
-      worker_ckpt_dir shard_faults listen auth_key worker_trace_cache stat_addr output =
+      shard_faults listen auth_key worker_trace_cache stat_addr output =
     protect_code @@ fun () ->
     if resume && checkpoint = None then usage_err "--resume requires --checkpoint FILE";
-    if sharded workers && (checkpoint <> None || resume) then
-      usage_err
-        "--workers is incompatible with --checkpoint/--resume (workers keep their own \
-         shard checkpoints; see --worker-ckpt-dir)";
     if shard_faults <> [] && not (sharded workers) then
       usage_err "--shard-fault requires --workers";
     if (listen <> None || auth_key <> None || worker_trace_cache <> None
@@ -1011,69 +1048,19 @@ let delay_cdf_cmd =
     write_checkpoint_sidecar checkpoint;
     let grid = delay_grid trace in
     let report, finish = progress_reporter ~enabled:progress "sources" in
+    let compute ?executor () =
+      Omn_core.Delay_cdf.compute_resumable ~max_hops ~grid ~domains ?checkpoint ~resume
+        ~checkpoint_every:every ?budget_seconds:budget ?report ?supervise ?executor trace
+    in
     let outcome =
-      if sharded workers then begin
-        let count, peers = match workers with Wcount n -> (n, []) | Wpeers l -> (0, l) in
-        let cfg =
-          {
-            (Shard.default ~workers:count) with
-            Shard.worker_domains = domains;
-            heartbeat_timeout = hb_timeout;
-            supervise = shard_supervise supervise;
-            ckpt_dir = worker_ckpt_dir;
-            budget_seconds = budget;
-            listen;
-            peers;
-            auth_key = auth_key_resolve auth_key;
-            worker_trace_cache;
-            chaos =
-              List.sort
-                (fun (a : Faultgen.shard_event) b -> compare a.after_results b.after_results)
-                shard_faults;
-            (* pull worker telemetry whenever this run writes obs
-               artifacts or serves live stats; never affects results *)
-            telemetry = metrics <> None || trace_out <> None || stat_addr <> None;
-            stat_addr;
-            on_stat_bound =
-              Some
-                (fun a ->
-                  Format.eprintf "omn: fleet stats on %s@." (Transport.to_string a));
-          }
-        in
-        (* a fault schedule needs the victim to still hold undispatched
-           work when the fault fires, or failover degenerates into a
-           socket-buffer race; pin the flow-control window like the
-           chaos harness does *)
-        let cfg =
-          if shard_faults = [] then cfg else { cfg with Shard.max_inflight = 2 }
-        in
-        match Shard.run ~max_hops ~grid cfg trace with
-        | Error e -> Error e
-        | Ok (curves, p, stats) ->
-          fleet_telemetry := stats.Shard.fleet;
-          update_manifest (fun m ->
-              {
-                m with
-                Omn_obs.Manifest.workers = Some (workers_fleet workers);
-                shard_map_sha256 = Some stats.Shard.shard_map_sha256;
-              });
-          if stats.Shard.reassigned > 0 || stats.Shard.rejoins > 0 then
-            Format.eprintf
-              "omn: shard failover: %d source(s) reassigned, %d worker spawn(s), %d \
-               rejoin(s), %d duplicate result(s) dropped@."
-              stats.Shard.reassigned stats.Shard.spawns stats.Shard.rejoins
-              stats.Shard.duplicates;
-          if stats.Shard.auth_rejects > 0 then
-            Format.eprintf "omn: shard auth: %d connection(s) rejected (E-AUTH)@."
-              stats.Shard.auth_rejects;
-          if stats.Shard.joins > 0 || stats.Shard.leaves > 0 then
-            Format.eprintf "omn: shard membership: %d join(s), %d leave(s)@."
-              stats.Shard.joins stats.Shard.leaves;
-          Ok (curves, p)
-      end
+      if not (sharded workers) then compute ()
       else
-        Omn_core.Delay_cdf.compute_resumable ~max_hops ~grid ~domains ?checkpoint ~resume
-          ~checkpoint_every:every ?budget_seconds:budget ?report ?supervise trace
+        let cfg =
+          fleet_config ~hb_timeout ?supervise ?listen ?auth_key ?worker_trace_cache
+            ~shard_faults ?stat_addr ~telemetry:(metrics <> None || trace_out <> None) ~domains
+            workers
+        in
+        with_shard_fleet ~max_hops ~grid cfg workers trace (fun executor -> compute ~executor ())
     in
     finish ();
     match outcome with
@@ -1096,9 +1083,8 @@ let delay_cdf_cmd =
       const run $ trace_pos $ preset $ seed_arg $ ingest_arg $ lenient_arg $ max_hops_arg
       $ domains_arg $ checkpoint_arg $ resume_arg $ checkpoint_every_arg $ budget_arg
       $ metrics_arg $ trace_out_arg $ progress_arg $ retries_arg $ task_deadline_arg
-      $ quarantine_arg $ workers_arg $ heartbeat_timeout_arg $ worker_ckpt_dir_arg
-      $ shard_fault_arg $ listen_arg $ auth_key_arg $ worker_trace_cache_arg
-      $ stat_addr_arg $ output_arg)
+      $ quarantine_arg $ workers_arg $ heartbeat_timeout_arg $ shard_fault_arg $ listen_arg
+      $ auth_key_arg $ worker_trace_cache_arg $ stat_addr_arg $ output_arg)
 
 (* --- delivery --- *)
 
@@ -1238,13 +1224,6 @@ let worker_cmd =
             "Dial the coordinator at $(docv) (a Unix-domain socket path or \
              $(b,host:port)) and redial on link loss.")
   in
-  let sock =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "sock" ] ~docv:"PATH"
-          ~doc:"Compatibility alias for $(b,--connect) with a Unix-domain socket path.")
-  in
   let listen =
     Arg.(
       value
@@ -1280,15 +1259,14 @@ let worker_cmd =
       & info [ "once" ]
           ~doc:"With $(b,--listen): exit after the first cleanly shut-down session.")
   in
-  let run id connect sock listen auth_key trace_cache once =
+  let run id connect listen auth_key trace_cache once =
     protect @@ fun () ->
     let mode =
-      match (connect, sock, listen) with
-      | Some a, None, None -> Omn_shard.Worker.Dial a
-      | None, Some p, None -> Omn_shard.Worker.Dial (Transport.Unix_path p)
-      | None, None, Some a -> Omn_shard.Worker.Listen a
-      | None, None, None -> usage_err "need one of --connect, --sock or --listen"
-      | _ -> usage_err "give only one of --connect, --sock or --listen"
+      match (connect, listen) with
+      | Some a, None -> Omn_shard.Worker.Dial a
+      | None, Some a -> Omn_shard.Worker.Listen a
+      | None, None -> usage_err "need one of --connect or --listen"
+      | Some _, Some _ -> usage_err "give only one of --connect or --listen"
     in
     match
       Omn_shard.Worker.main ~worker:id ~mode
@@ -1307,7 +1285,7 @@ let worker_cmd =
           --workers host:port,...). Computes per-source partials on demand and ships \
           them back CRC-framed; authentication and protocol rejections exit 2 with a \
           typed $(b,E-AUTH)/$(b,E-PROTO) error.")
-    Term.(const run $ id $ connect $ sock $ listen $ auth_key $ trace_cache $ once)
+    Term.(const run $ id $ connect $ listen $ auth_key $ trace_cache $ once)
 
 (* --- chaos (resilience harness) --- *)
 
@@ -1437,7 +1415,7 @@ let chaos_cmd =
           ~sources:(Omn_core.Delay_cdf.uniform_order (List.init sh_n Fun.id))
           strace
       in
-      let sh_cfg ?(workers = sh_workers) ?(chaos = []) ?ckpt_dir () =
+      let sh_cfg ?(workers = sh_workers) ?(chaos = []) () =
         {
           (Shard.default ~workers) with
           Shard.heartbeat_interval = 0.05;
@@ -1450,7 +1428,6 @@ let chaos_cmd =
              failover, never just draining the socket buffer *)
           max_inflight = 2;
           chaos;
-          ckpt_dir;
         }
       in
       let run_shard label cfg =
@@ -1467,9 +1444,6 @@ let chaos_cmd =
       in
       let _ = run_shard "clean sharded run" (sh_cfg ()) in
       ok "sharded run bit-identical (3 workers)";
-      let dir = Filename.temp_file "omn-chaos-shard" "" in
-      Sys.remove dir;
-      Unix.mkdir dir 0o700;
       let kill_all =
         [
           { Faultgen.after_results = 1; victim = 0; shard_fault = Faultgen.Worker_kill };
@@ -1477,24 +1451,20 @@ let chaos_cmd =
           { Faultgen.after_results = 3; victim = 2; shard_fault = Faultgen.Worker_kill };
         ]
       in
-      let st = run_shard "kill-every-worker run" (sh_cfg ~chaos:kill_all ~ckpt_dir:dir ()) in
+      let st = run_shard "kill-every-worker run" (sh_cfg ~chaos:kill_all ()) in
       if st.Shard.spawns <= sh_workers then
         fail "kill-every-worker run finished without a respawn";
       ok "every worker killed: respawn + failover, no source lost";
       let hang = [ { Faultgen.after_results = 1; victim = 0; shard_fault = Faultgen.Worker_hang } ] in
-      let st = run_shard "hung-worker run" (sh_cfg ~workers:1 ~chaos:hang ~ckpt_dir:dir ()) in
+      let st = run_shard "hung-worker run" (sh_cfg ~workers:1 ~chaos:hang ()) in
       if st.Shard.heartbeat_misses < 1 then fail "hung worker was never detected";
       ok "hung worker detected by heartbeat and replaced";
       let corrupt =
         [ { Faultgen.after_results = 1; victim = 0; shard_fault = Faultgen.Sock_corrupt } ]
       in
-      let st = run_shard "corrupt-frame run" (sh_cfg ~workers:1 ~chaos:corrupt ~ckpt_dir:dir ()) in
+      let st = run_shard "corrupt-frame run" (sh_cfg ~workers:1 ~chaos:corrupt ()) in
       if st.Shard.frame_corrupts < 1 then fail "corrupt frame was never rejected";
       ok "corrupt frame rejected by CRC, connection replaced";
-      Array.iter
-        (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
-        (Sys.readdir dir);
-      (try Unix.rmdir dir with Unix.Unix_error _ -> ());
       (* 9-15. Multi-machine shapes over loopback TCP: authenticated
          handshake on every link, link-level chaos, dynamic membership
          and the digest-addressed trace store. Identity with the

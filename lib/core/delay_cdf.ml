@@ -276,38 +276,54 @@ let plan_order ?sources trace =
   | Some s -> s
   | None -> uniform_order (List.init (Trace.n_nodes trace) Fun.id)
 
+type executor = Omn_temporal.Node.t list -> (partial, Supervise.failure) result array
+
 type plan = {
   max_hops : int;
   budget_grid : float array;
   is_dest : bool array;
   windows : (float * float) list;
   order : Omn_temporal.Node.t list;
-  batch : Omn_temporal.Node.t list -> (partial, Supervise.failure) result array;
+  batch : executor;
   out_of_budget : unit -> bool;
 }
 
 let run_plan ?(max_hops = 10) ?sources ?dests ?grid:(budget_grid = Omn_stats.Grid.delay_default)
     ?pool ?(domains = 1) ?windows ?budget_seconds ?(clock = Unix.gettimeofday) ?supervise
-    ?partials_of trace f =
+    ?executor trace f =
   try
     if domains < 1 then invalid_arg "Delay_cdf: domains < 1";
     if Option.value budget_seconds ~default:0. < 0. then invalid_arg "Delay_cdf: negative budget";
+    Option.iter Supervise.validate supervise;
     let is_dest, windows = setup ~max_hops ?sources ?dests ?windows trace in
     (* One pool for the whole run, reused batch after batch. A borrowed
        pool is left to its owner; an owned one is shut down on every
-       exit path. *)
-    let owned = if pool = None && domains > 1 then Some (Pool.create ~domains ()) else None in
+       exit path. An external executor computes elsewhere: no pool. *)
+    let owned =
+      if pool = None && domains > 1 && executor = None then Some (Pool.create ~domains ())
+      else None
+    in
     let pool = if owned = None then pool else owned in
     Fun.protect ~finally:(fun () -> Option.iter Pool.shutdown owned) @@ fun () ->
     let work = source_work ~max_hops ~budget_grid ~is_dest ~windows trace in
+    let quarantines = match supervise with Some p -> p.Supervise.quarantine | None -> false in
     let batch sources =
-      match (partials_of, supervise) with
-      | Some f, _ ->
-        let ps = f sources in
-        if List.length ps <> List.length sources then
-          Printf.ksprintf failwith "partials_of returned %d partials for %d sources"
-            (List.length ps) (List.length sources);
-        Array.of_list (List.map Result.ok ps)
+      match (executor, supervise) with
+      | Some ex, _ ->
+        let rs = ex sources in
+        if Array.length rs <> List.length sources then
+          Printf.ksprintf failwith "executor returned %d results for %d sources"
+            (Array.length rs) (List.length sources);
+        (* An executor's failure is quarantined only under a policy that
+           quarantines, as [Supervise.map] would do in process. *)
+        if not quarantines then
+          Array.iter
+            (function
+              | Ok _ -> ()
+              | Error (f : Supervise.failure) ->
+                Printf.ksprintf failwith "source %d: %s" f.item f.reason)
+            rs;
+        rs
       | None, None -> Array.map Result.ok (Pool.run ?pool ~domains work (Array.of_list sources))
       | None, Some policy ->
         Supervise.map ?pool ~domains ~id:Fun.id policy work (Array.of_list sources)
@@ -401,8 +417,9 @@ let ckpt_magic = "omn-ckpt 3\n"
    merges are exactly those of a fault-free run over the surviving
    sources. *)
 let compute_resumable ?max_hops ?sources ?dests ?grid ?pool ?domains ?windows ?checkpoint
-    ?(resume = false) ?(checkpoint_every = 8) ?budget_seconds ?report ?supervise trace =
-  run_plan ?max_hops ?sources ?dests ?grid ?pool ?domains ?windows ?budget_seconds ?supervise trace
+    ?(resume = false) ?(checkpoint_every = 8) ?budget_seconds ?report ?supervise ?executor trace =
+  run_plan ?max_hops ?sources ?dests ?grid ?pool ?domains ?windows ?budget_seconds ?supervise
+    ?executor trace
   @@ fun p ->
   if checkpoint_every < 1 then invalid_arg "Delay_cdf: checkpoint_every < 1";
   let fp =

@@ -94,12 +94,12 @@ val compute :
 
 (** {1 Per-source partials (distributed merge)}
 
-    The sharded driver ([Omn_shard]) computes one {!partial} per source
-    on worker processes, ships them as opaque payloads, and folds them
-    into a {!merger} on the coordinator in plan order. Because
-    {!merger_add} performs exactly the [merge_into] sequence the
-    single-process driver performs, a sharded run is bit-identical to a
-    single-process run at any worker count. *)
+    The shard fleet ([Omn_shard]) computes one {!partial} per source on
+    worker processes and ships them back as opaque payloads; it is an
+    {!executor} of {!run_plan}, so the same fold merges them into a
+    {!merger} in plan order. Because {!merger_add} performs exactly the
+    [merge_into] sequence of a single-process run, a sharded
+    run is bit-identical to a single-process run at any worker count. *)
 
 type partial
 (** One source's contribution to the final curves. *)
@@ -137,7 +137,8 @@ val merger_curves : merger -> curves
 (** {1 The source-plan driver}
 
     The pieces {!compute_resumable} is built from, shared with
-    [Diameter_est]. *)
+    [Diameter_est]. {!run_plan} serves every executor: inline, a domain
+    pool, supervised, or the shard fleet. *)
 
 val uniform_order : Omn_temporal.Node.t list -> Omn_temporal.Node.t list
 (** A stride order of the given sources whose every prefix is a
@@ -149,15 +150,18 @@ val plan_order :
 (** The one merge-order rule: [sources] as given, else
     [uniform_order] of all nodes. *)
 
+type executor =
+  Omn_temporal.Node.t list -> (partial, Omn_resilience.Supervise.failure) result array
+(** Computes a batch of sources: one partial, or the failure of a source
+    that exhausted its retries, per source, in the order given. *)
+
 type plan = private {
   max_hops : int;
   budget_grid : float array;
   is_dest : bool array;
   windows : (float * float) list;
   order : Omn_temporal.Node.t list;  (** {!plan_order} *)
-  batch :
-    Omn_temporal.Node.t list -> (partial, Omn_resilience.Supervise.failure) result array;
-      (** the executor: one partial or quarantine failure per source, in order *)
+  batch : executor;  (** the run's executor *)
   out_of_budget : unit -> bool;  (** the wall-clock budget has expired *)
 }
 
@@ -172,17 +176,20 @@ val run_plan :
   ?budget_seconds:float ->
   ?clock:(unit -> float) ->
   ?supervise:Omn_resilience.Supervise.policy ->
-  ?partials_of:(Omn_temporal.Node.t list -> partial list) ->
+  ?executor:executor ->
   Omn_temporal.Trace.t ->
   (plan -> 'a) ->
   ('a, Omn_robust.Err.t) result
-(** Validate the parameters, own the pool ([domains > 1], no [pool])
-    and run the continuation on the plan. The executor is [partials_of]
-    when given, else {!source_partial} on the pool, under [supervise]
-    when given; [clock] (default [Unix.gettimeofday]) times the budget.
-    Escaping exceptions become typed errors; every id in [sources] and
-    [dests] is range-checked before a pool is spawned or a source
-    runs. *)
+(** Validate the parameters, own the pool ([domains > 1], no [pool], no
+    [executor]) and run the continuation on the plan. The executor is
+    [executor] when given (no pool is spawned), else {!source_partial}
+    on the pool, under [supervise] when given. An external executor's
+    [Error] is kept (quarantined) only when [supervise] quarantines;
+    otherwise the run fails with a [Compute] error, as an unsupervised
+    in-process run does. [clock] (default [Unix.gettimeofday]) times
+    the budget. Escaping exceptions become typed errors; every id in
+    [sources] and [dests] is range-checked before a pool is spawned or
+    a source runs. *)
 
 val save_snapshot : magic:string -> string -> 'a -> unit
 (** Marshal a snapshot into a CRC-framed, rotated checkpoint
@@ -228,6 +235,7 @@ val compute_resumable :
   ?budget_seconds:float ->
   ?report:(done_:int -> total:int -> degraded:int -> fallback:bool -> unit) ->
   ?supervise:Omn_resilience.Supervise.policy ->
+  ?executor:executor ->
   Omn_temporal.Trace.t ->
   (curves * progress, Omn_robust.Err.t) result
 (** {!compute} with typed errors, plus the policies below. Sources run
@@ -263,4 +271,8 @@ val compute_resumable :
       count, the cumulative quarantined-source count and whether the
       run resumed from a fallback checkpoint generation (the CLI's
       [--progress] hooks in here and surfaces all three). Purely
-      observational — it must not mutate the computation's inputs. *)
+      observational — it must not mutate the computation's inputs.
+    - [executor]: compute the sources elsewhere (the shard fleet's
+      [Omn_shard.Coord.with_fleet]); see {!run_plan}. The checkpoint
+      does not record the executor, so a run checkpointed by one
+      executor resumes under any other. *)

@@ -61,8 +61,11 @@ let estimate ?(epsilon = 0.01) ?(max_hops = 10) ?(sample = 64) ?(seed = 0) ?(ci_
   else if confidence <= 0. || confidence >= 1. then usage "confidence out of (0,1)"
   else if bootstrap < 1 then usage "bootstrap must be at least 1"
   else
+    let executor =
+      Option.map (fun f sources -> Array.of_list (List.map Result.ok (f sources))) partials_of
+    in
     Delay_cdf.run_plan ~max_hops ?sources ?dests ?grid ?pool ?domains ?windows ?budget_seconds
-      ?clock ?partials_of trace
+      ?clock ?executor trace
     @@ fun plan ->
     let total = List.length plan.order in
     if total = 0 then invalid_arg "Diameter_est.estimate: empty source list";

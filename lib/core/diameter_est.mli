@@ -85,8 +85,8 @@ val estimate :
     [partials_of] overrides how per-source partials are computed: it
     receives a batch of sources and must return one
     {!Delay_cdf.source_partial}-equivalent partial per source, in
-    order — the hook the sharded coordinator and the streaming CLI
-    plug into. Default: {!Delay_cdf.source_partial} on the pool.
+    order — the hook the shard fleet's executor plugs into (no pool is
+    spawned then). Default: {!Delay_cdf.source_partial} on the pool.
 
     Validation failures ([sample < 1], [ci_width <= 0], [epsilon] or
     [confidence] outside (0,1), [bootstrap < 1], ...) are typed

@@ -22,7 +22,7 @@ type event =
   | Heartbeat_miss of { worker : int }
   | Frame_corrupt of { worker : int }
   | Reassign of { source : int; from_worker : int; to_worker : int }
-  | Worker_rejoin of { worker : int; resumed : int }
+  | Worker_rejoin of { worker : int }
   | Member_join of { worker : int }
   | Member_leave of { worker : int }
   | Auth_reject of { reason : string }

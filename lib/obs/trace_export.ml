@@ -119,9 +119,8 @@ let event_json ?pid ~t0 (domain, (e : Timeline.entry)) =
         ("from_worker", Json.Int from_worker);
         ("to_worker", Json.Int to_worker);
       ]
-  | Worker_rejoin { worker; resumed } ->
-    instant_event ~t0 ~tid ~name:"worker.rejoin" ~cat:"shard" ~ts:e.ts
-      [ ("worker", Json.Int worker); ("resumed", Json.Int resumed) ]
+  | Worker_rejoin { worker } ->
+    instant_event ~t0 ~tid ~name:"worker.rejoin" ~cat:"shard" ~ts:e.ts [ ("worker", Json.Int worker) ]
   | Member_join { worker } ->
     instant_event ~t0 ~tid ~name:"member.join" ~cat:"shard" ~ts:e.ts
       [ ("worker", Json.Int worker) ]

@@ -43,6 +43,10 @@ val default : policy
 (** 2 retries, 50 ms base backoff capped at 1 s, seed 0, no deadlines,
     quarantine on. *)
 
+val validate : policy -> unit
+(** Raises [Invalid_argument] on negative retries, backoffs or
+    deadlines — the check {!run_task} and {!map} make before running. *)
+
 type failure = {
   item : int;  (** caller-assigned id (see [map]'s [id]), default index *)
   attempts : int;  (** attempts actually made, >= 1 *)

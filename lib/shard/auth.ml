@@ -22,7 +22,7 @@ module Sha256 = Omn_obs.Sha256
 
 (* Version of this handshake + the Proto framing it fronts. Bump when
    the Marshal-encoded message set changes incompatibly. *)
-let protocol_version = 3
+let protocol_version = 4
 
 (* Marshal requires both ends to agree on the runtime's value layout;
    refusing a different compiler version up front turns a would-be

@@ -5,9 +5,7 @@ type job = {
   dests : int list option;
   grid : float array option;
   windows : (float * float) list option;
-  supervise : (int * float * float * int) option;
-  ckpt_path : string option;
-  fingerprint : string;
+  supervise : Omn_resilience.Supervise.policy option;
   domains : int;
   telemetry : bool;
 }
@@ -23,7 +21,7 @@ type to_worker =
 type from_worker =
   | Hello of { worker : int }
   | Need_trace of { digest : string }
-  | Ready of { worker : int; resumed : int }
+  | Ready of { worker : int }
   | Result of { slot : int; source : int; partial : string }
   | Failed of { slot : int; source : int; attempts : int; reason : string }
   | Stats_push of {
@@ -52,19 +50,3 @@ let decode_to_worker s : (to_worker, string) result =
 let decode_from_worker s : (from_worker, string) result =
   try Ok (Marshal.from_string s 0)
   with e -> Error ("shard: undecodable message: " ^ Printexc.to_string e)
-
-let job_fingerprint ~trace_text ~max_hops ~dests ~grid ~windows =
-  let b = Buffer.create (String.length trace_text + 256) in
-  Buffer.add_string b trace_text;
-  Buffer.add_string b (Printf.sprintf "|max_hops=%d" max_hops);
-  (match dests with
-  | None -> Buffer.add_string b "|dests=all"
-  | Some ds -> List.iter (fun d -> Buffer.add_string b (Printf.sprintf "|d%d" d)) ds);
-  (match grid with
-  | None -> Buffer.add_string b "|grid=default"
-  | Some g -> Array.iter (fun v -> Buffer.add_string b (Printf.sprintf "|g%.17g" v)) g);
-  (match windows with
-  | None -> Buffer.add_string b "|windows=full"
-  | Some ws ->
-    List.iter (fun (a, z) -> Buffer.add_string b (Printf.sprintf "|w%.17g,%.17g" a z)) ws);
-  Omn_obs.Sha256.string (Buffer.contents b)

@@ -17,10 +17,11 @@
     only; a worker that does not already hold those bytes (in memory
     from a previous session, or in its [--trace-cache] store) answers
     {!from_worker.Need_trace} and the coordinator ships one
-    {!to_worker.Trace_data}. The worker then loads its shard
-    checkpoint (if the fingerprint matches) and answers
-    {!from_worker.Ready} with the number of cached results it resumed;
-    only then does the coordinator stream [Compute] messages. *)
+    {!to_worker.Trace_data}. The worker then answers
+    {!from_worker.Ready}; only then does the coordinator stream
+    [Compute] messages. Workers keep no results between requests: the
+    coordinator holds every acknowledged partial, and checkpoints are
+    the coordinator's ([Omn_core.Delay_cdf.compute_resumable]). *)
 
 type job = {
   trace_digest : string;
@@ -33,14 +34,12 @@ type job = {
   dests : int list option;
   grid : float array option;
   windows : (float * float) list option;
-  supervise : (int * float * float * int) option;
-      (** (retries, backoff, backoff_max, jitter_seed) — worker-side
-          supervision policy; [None] means fail-fast with 0 retries
-          (the failure still arrives as [Failed], not a worker crash) *)
-  ckpt_path : string option;  (** per-worker shard checkpoint file *)
-  fingerprint : string;
-      (** digest of trace + parameters; a checkpoint from any other
-          fingerprint is ignored on rejoin *)
+  supervise : Omn_resilience.Supervise.policy option;
+      (** the run's supervision policy, applied worker-side to every
+          source (retries, backoff, task deadline); [None] means one
+          attempt. A source that still fails arrives as [Failed], never
+          as a worker crash; whether it is quarantined or fails the run
+          is decided by the coordinator's fold under the same policy *)
   domains : int;  (** size of the worker's own domain pool *)
   telemetry : bool;
       (** enable the worker's local metrics registry and timeline so
@@ -70,7 +69,7 @@ type from_worker =
       (** [worker = -1]: a joiner asking to be assigned an id *)
   | Need_trace of { digest : string }
       (** cache miss: please ship the bytes for this digest *)
-  | Ready of { worker : int; resumed : int }
+  | Ready of { worker : int }
   | Result of { slot : int; source : int; partial : string }
       (** [partial] is [Delay_cdf.partial_to_string] output — opaque
           here *)
@@ -99,14 +98,3 @@ val encode_to_worker : to_worker -> string
 val decode_to_worker : string -> (to_worker, string) result
 val encode_from_worker : from_worker -> string
 val decode_from_worker : string -> (from_worker, string) result
-
-val job_fingerprint :
-  trace_text:string ->
-  max_hops:int ->
-  dests:int list option ->
-  grid:float array option ->
-  windows:(float * float) list option ->
-  string
-(** The parameter digest embedded in {!job} and in worker checkpoints:
-    any change to the trace or to a result-affecting parameter changes
-    it, so stale shard checkpoints can never leak into a run. *)

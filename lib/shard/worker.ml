@@ -2,12 +2,9 @@ module Delay_cdf = Omn_core.Delay_cdf
 module Trace_io = Omn_temporal.Trace_io
 module Supervise = Omn_resilience.Supervise
 module Pool = Omn_parallel.Pool
-module Checkpoint = Omn_robust.Checkpoint
 module Retry_io = Omn_robust.Retry_io
 module Err = Omn_robust.Err
 module Sha256 = Omn_obs.Sha256
-
-let ckpt_magic = "omn-shard-ckpt 1\n"
 
 type mode = Dial of Transport.addr | Listen of Transport.addr
 
@@ -16,29 +13,11 @@ type mode = Dial of Transport.addr | Listen of Transport.addr
    interval, so half a minute of silence means the link is gone. *)
 let read_deadline = 30.
 
-let load_cache ~path ~fingerprint =
-  let validate payload =
-    match (Marshal.from_string payload 0 : string * (int * string) list) with
-    | fp, entries when fp = fingerprint -> Ok entries
-    | _ -> Err.error Checkpoint "shard checkpoint fingerprint mismatch"
-    | exception _ -> Err.error Checkpoint "shard checkpoint undecodable"
-  in
-  match Checkpoint.load ~magic:ckpt_magic ~validate path with
-  | Ok (entries, _) -> entries
-  | Error _ -> []
-
-let save_cache ~path ~fingerprint cache =
-  let entries = Hashtbl.fold (fun s v acc -> (s, v) :: acc) cache [] in
-  let entries = List.sort compare entries in
-  Checkpoint.save ~magic:ckpt_magic ~path (Marshal.to_string (fingerprint, entries) [])
-
-(* State that outlives one coordinator session: traces by digest and
-   result caches by job fingerprint. A partitioned worker that redials
-   finds both intact, so a rejoin re-ships zero trace bytes and
-   recomputes zero sources even without --trace-cache. *)
+(* State that outlives one coordinator session: traces by digest. A
+   partitioned worker that redials finds them intact, so a rejoin
+   re-ships zero trace bytes even without --trace-cache. *)
 type persist = {
   traces : (string, Omn_temporal.Trace.t * string) Hashtbl.t;
-  results : (string, (int, string) Hashtbl.t) Hashtbl.t;
   watermarks : (int, int) Hashtbl.t;
       (** per-domain cumulative timeline events already shipped in a
           [Stats_push] (dropped + sent), so each push carries only the
@@ -183,31 +162,19 @@ let session ~persist ~trace_cache ~worker fd =
       | `Done -> `Done
       | `Lost -> `Lost
       | `Trace trace ->
+        (* Every failure comes back as [Failed]: whether it is
+           quarantined is the coordinator's call under the same policy. *)
         let policy =
-          match job.supervise with
-          | Some (retries, backoff, backoff_max, jitter_seed) ->
-            { Supervise.default with retries; backoff; backoff_max; jitter_seed }
-          | None -> { Supervise.default with retries = 0 }
+          {
+            (Option.value job.supervise ~default:{ Supervise.default with retries = 0 }) with
+            quarantine = true;
+          }
         in
-        let cache =
-          match Hashtbl.find_opt persist.results job.fingerprint with
-          | Some c -> c
-          | None ->
-            let c : (int, string) Hashtbl.t = Hashtbl.create 64 in
-            Hashtbl.replace persist.results job.fingerprint c;
-            c
-        in
-        (match job.ckpt_path with
-        | Some p ->
-          List.iter
-            (fun (s, v) -> if not (Hashtbl.mem cache s) then Hashtbl.replace cache s v)
-            (load_cache ~path:p ~fingerprint:job.fingerprint)
-        | None -> ());
-        send (Ready { worker = id; resumed = Hashtbl.length cache });
+        send (Ready { worker = id });
         let pool =
           if job.domains > 1 then Some (Pool.create ~domains:job.domains ()) else None
         in
-        let compute_source source =
+        let compute_source (_, source) =
           let tl_on = Omn_obs.Timeline.enabled () in
           let start = if tl_on then Unix.gettimeofday () else 0. in
           let partial =
@@ -218,43 +185,17 @@ let session ~persist ~trace_cache ~worker fd =
           if tl_on then Omn_obs.Timeline.record (Shard_compute { source; start });
           partial
         in
-        (* Batch order = arrival order; the cache is read-only during the
-           pool run and mutated only afterwards, on this domain. *)
+        (* Results go back in batch order = arrival order. *)
         let run_batch batch =
           let arr = Array.of_list batch in
-          let out =
-            Pool.run ?pool
-              (fun (slot, source) ->
-                match Hashtbl.find_opt cache source with
-                | Some s -> Ok (slot, source, s, true)
-                | None -> (
-                  match
-                    Supervise.run_task policy ~item:source (fun () ->
-                        compute_source source)
-                  with
-                  | Ok s -> Ok (slot, source, s, false)
-                  | Error f -> Error (slot, source, f)))
-              arr
-          in
-          let dirty = ref false in
-          Array.iter
-            (function
-              | Ok (_, source, s, false) ->
-                Hashtbl.replace cache source s;
-                dirty := true
-              | Ok _ | Error _ -> ())
-            out;
-          (match job.ckpt_path with
-          | Some p when !dirty -> save_cache ~path:p ~fingerprint:job.fingerprint cache
-          | _ -> ());
-          Array.iter
-            (fun r ->
-              send
-                (match r with
-                | Ok (slot, source, partial, _) -> Proto.Result { slot; source; partial }
-                | Error (slot, source, (f : Supervise.failure)) ->
-                  Failed { slot; source; attempts = f.attempts; reason = f.reason }))
-            out
+          Supervise.map ?pool ~id:snd policy compute_source arr
+          |> Array.iteri (fun i r ->
+                 let slot, source = arr.(i) in
+                 send
+                   (match r with
+                   | Ok partial -> Proto.Result { slot; source; partial }
+                   | Error (f : Supervise.failure) ->
+                     Failed { slot; source; attempts = f.attempts; reason = f.reason }))
         in
         (* Cap batches so queued Pings are answered between pool runs — a
            worker deep in a huge batch must not look heartbeat-dead. *)
@@ -313,9 +254,7 @@ let close_noerr fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
 let main ~worker ~mode ?auth_key ?trace_cache ?(once = false) () =
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  let persist =
-    { traces = Hashtbl.create 4; results = Hashtbl.create 4; watermarks = Hashtbl.create 8 }
-  in
+  let persist = { traces = Hashtbl.create 4; watermarks = Hashtbl.create 8 } in
   let id = ref worker in
   match mode with
   | Dial addr ->

@@ -9,16 +9,14 @@
     asks the coordinator to assign an id), receive the [Job], obtain
     the trace by digest (in-memory from a previous session, from the
     [--trace-cache] content store, or shipped once via
-    [Need_trace]/[Trace_data]), load the shard checkpoint when its
-    fingerprint matches, answer [Ready], then serve [Compute] requests
-    until [Shutdown] or the connection closes.
+    [Need_trace]/[Trace_data]), answer [Ready], then serve [Compute]
+    requests until [Shutdown] or the connection closes.
 
     Reconnection: a dialing worker that loses its link mid-session
     (partition, coordinator failover) redials with bounded
     exponential backoff and rejoins under its assigned id; its traces
-    and per-fingerprint result caches persist in memory across
-    sessions, so a rejoin re-ships zero trace bytes and recomputes
-    nothing. A listening worker simply accepts the next connection
+    persist in memory across sessions, so a rejoin re-ships zero trace
+    bytes. A listening worker simply accepts the next connection
     ([--once] exits after the first cleanly shut-down session).
 
     Batching: the worker drains every [Compute] already queued on the
@@ -27,11 +25,10 @@
     batch order. Merge order lives entirely on the coordinator, so
     worker-side parallelism cannot affect the final curves.
 
-    Checkpointing: every computed [(source, partial)] is cached and the
-    cache persisted (CRC-framed, rotated — {!Omn_robust.Checkpoint})
-    after each batch, so a worker that is killed and respawned {e
-    resumes}: re-requested sources are answered from the cache instead
-    of recomputed. A failing source is retried under the job's
+    No state of its own: the worker keeps no results and writes no
+    checkpoint. The coordinator holds every acknowledged partial, so a
+    killed and respawned worker recomputes only the sources that were
+    in flight on it. A failing source is retried under the job's
     supervision policy and, once exhausted, reported as [Failed] — the
     worker itself survives poison sources.
 
@@ -39,9 +36,6 @@
     coordinator is an orderly [Ok] exit, while an authentication or
     protocol rejection is a typed [E-AUTH]/[E-PROTO] error for the CLI
     to turn into exit 2. *)
-
-val ckpt_magic : string
-(** Framing magic of worker shard checkpoints. *)
 
 type mode =
   | Dial of Transport.addr  (** connect out to the coordinator *)
@@ -61,10 +55,9 @@ val main :
     content-addressed {!Store} directory; [once] (listen mode) exits
     after one cleanly completed session. Returns [Ok ()] on [Shutdown]
     or coordinator disappearance, [Error] with [E-AUTH]/[E-PROTO]/
-    [E-IO] on typed rejections. Callers that forked must follow with
-    [Unix._exit]. *)
+    [E-IO] on typed rejections. *)
 
 val serve_if_worker_argv : unit -> unit
 (** When [Sys.argv] is the [EXE worker --id=I --connect ADDR ...] that
-    the coordinator's [Spawn_exec] re-executes, serve as that worker and
+    the coordinator re-executes to spawn a worker, serve as that worker and
     [exit]; otherwise return. For binaries that are their own workers. *)

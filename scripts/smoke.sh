@@ -18,9 +18,13 @@
 #   6. sharding: a 3-worker sharded run must be byte-identical (modulo
 #      manifest) to the single-process run, and must stay byte-identical
 #      with exit 0 when a worker is killed mid-run (failover); a
-#      two-"machine" loopback-TCP fleet of pre-started authenticated
-#      workers must survive an induced network partition with identical
-#      bytes, and a wrong-key coordinator must exit 2 with E-AUTH;
+#      budgeted, checkpointed 2-worker run resumed in process must be
+#      byte-identical too, --progress must report on a fleet, and a
+#      sampled diameter on a keyed fleet must match the in-process
+#      estimate; a two-"machine" loopback-TCP fleet of pre-started
+#      authenticated workers must survive an induced network partition
+#      with identical bytes, and a wrong-key coordinator must exit 2
+#      with E-AUTH;
 #   7. fleet telemetry: a 2-worker loopback-TCP run with --stat-addr,
 #      --metrics and --trace-out must serve a live Prometheus
 #      exposition mid-run, emit one merged Perfetto trace with
@@ -270,6 +274,48 @@ for key in '"shard"' '"worker_spawns"' '"reassigned_sources"'; do
     exit 1
   }
 done
+
+# The fleet is an executor of the in-process run_plan: a budgeted fleet
+# run stops on a chunk boundary and leaves the one checkpoint format,
+# which an in-process run resumes to the same bytes.
+rc=0
+"$OMN" delay-cdf "$tmp/clean.omn" --max-hops 6 --workers 2 \
+  --budget-seconds 0 --checkpoint-every 3 --checkpoint "$tmp/fleet.ck" \
+  -o "$tmp/fleet-partial.json" >"$tmp/fleet-partial.out" 2>&1 || rc=$?
+if [ "$rc" -ne 124 ] || ! grep -q 'PARTIAL' "$tmp/fleet-partial.out"; then
+  echo "smoke FAIL: budgeted fleet run exited $rc, expected 124 with a PARTIAL banner" >&2
+  exit 1
+fi
+"$OMN" delay-cdf "$tmp/clean.omn" --max-hops 6 \
+  --checkpoint-every 3 --checkpoint "$tmp/fleet.ck" --resume -o "$tmp/fleet-resumed.json" >/dev/null
+same_result "$tmp/full.json" "$tmp/fleet-resumed.json" || {
+  echo "smoke FAIL: fleet checkpoint resumed in process differs from uninterrupted run" >&2
+  exit 1
+}
+
+# Progress reporting belongs to compute_resumable, so a fleet run reports too.
+"$OMN" delay-cdf "$tmp/clean.omn" --max-hops 6 --workers 2 --progress \
+  -o "$tmp/fleet-progress.json" >/dev/null 2>"$tmp/fleet-progress.err"
+grep -q '^sources: ' "$tmp/fleet-progress.err" || {
+  echo "smoke FAIL: --workers --progress printed no progress line" >&2
+  exit 1
+}
+
+# A sampled diameter runs every round on one fleet; spawned workers
+# inherit the key from OMN_SHARD_KEY, and so must the coordinator.
+"$OMN" diameter "$tmp/clean.omn" --max-hops 6 --sample 4 >"$tmp/sample-local.out"
+rc=0
+OMN_SHARD_KEY=smoke-sample-key "$OMN" diameter "$tmp/clean.omn" --max-hops 6 --sample 4 \
+  --workers 2 >"$tmp/sample-fleet.out" 2>"$tmp/sample-fleet.err" || rc=$?
+if [ "$rc" -ne 0 ]; then
+  echo "smoke FAIL: keyed sampled fleet run exited $rc, expected 0" >&2
+  cat "$tmp/sample-fleet.err" >&2
+  exit 1
+fi
+cmp -s "$tmp/sample-local.out" "$tmp/sample-fleet.out" || {
+  echo "smoke FAIL: keyed sampled fleet estimate differs from the in-process one" >&2
+  exit 1
+}
 
 # --- 6b. multi-machine sharding over loopback TCP -----------------------------
 

@@ -375,6 +375,36 @@ let quarantine_off_propagates () =
   | Error (e : Err.t) -> Alcotest.(check bool) "typed failure" true (e.Err.code = Err.Compute)
   | Ok _ -> Alcotest.fail "quarantine=false must abort the run"
 
+(* An external executor (the shard fleet) returns a source's failure
+   as a value; the fold must treat it as [Supervise.map] treats a
+   failing task: fail the run unless the policy quarantines. *)
+let executor_failure_follows_policy () =
+  let executor sources =
+    Array.of_list
+      (List.map
+         (fun s ->
+           if s = 5 then Error { S.item = 5; attempts = 1; reason = "poison" }
+           else Ok (Delay_cdf.source_partial ~max_hops:3 ~grid chaos_trace s))
+         sources)
+  in
+  let run ?supervise () =
+    Delay_cdf.compute_resumable ~max_hops:3 ~grid ?supervise ~executor chaos_trace
+  in
+  (match run () with
+  | Error (e : Err.t) ->
+    Alcotest.(check bool) "unsupervised: E-COMPUTE" true (e.Err.code = Err.Compute)
+  | Ok _ -> Alcotest.fail "an unsupervised executor failure must abort the run");
+  (match run ~supervise:{ fast with S.quarantine = false } () with
+  | Error (e : Err.t) ->
+    Alcotest.(check bool) "quarantine off: E-COMPUTE" true (e.Err.code = Err.Compute)
+  | Ok _ -> Alcotest.fail "quarantine=false must abort the run");
+  let curves, p = get_ok (run ~supervise:fast ()) in
+  Alcotest.(check (list int)) "quarantine on: the failed source is degraded" [ 5 ]
+    (List.map (fun (f : S.failure) -> f.S.item) p.Delay_cdf.degraded);
+  let survivors = List.filter (fun s -> s <> 5) (Delay_cdf.plan_order chaos_trace) in
+  Alcotest.(check bool) "surviving curves bit-identical" true
+    (curves_equal curves (Delay_cdf.compute ~max_hops:3 ~grid ~sources:survivors chaos_trace))
+
 let degraded_survives_resume () =
   Fun.protect ~finally:(fun () -> S.set_task_fault None) @@ fun () ->
   S.set_task_fault (Some (fun ~item ~attempt:_ -> if item = 7 then failwith "poison"));
@@ -550,6 +580,8 @@ let suite =
     Alcotest.test_case "degraded run: exact quarantine, bit-identical rest" `Quick
       degraded_bit_identity;
     Alcotest.test_case "quarantine off aborts the run" `Quick quarantine_off_propagates;
+    Alcotest.test_case "executor failures follow the run's policy" `Quick
+      executor_failure_follows_policy;
     Alcotest.test_case "degraded list survives kill/restart" `Quick degraded_survives_resume;
     Alcotest.test_case "corrupt checkpoint falls back to .prev" `Quick ckpt_fallback_recovers;
     Alcotest.test_case "diameter threads resilience through" `Quick diameter_threads_resilience;

@@ -1,9 +1,7 @@
-(* Worker-mode escape hatch for the shard suite: the coordinator's
-   [Spawn_exec] re-executes [Sys.executable_name worker --id I --sock P],
-   and under the test runner that is this binary. Intercept the worker
-   argv before Alcotest sees it. ([Spawn_fork] is unusable from the
-   full suite: earlier suites create domains, and OCaml 5 forbids
-   [Unix.fork] in a process with more than one domain.) *)
+(* Worker-mode escape hatch for the shard suite: the coordinator spawns
+   workers by re-executing [Sys.executable_name worker --id=I --connect
+   ADDR], and under the test runner that is this binary. Intercept the
+   worker argv before Alcotest sees it. *)
 let () = Omn_shard.Worker.serve_if_worker_argv ()
 
 let () =

@@ -217,8 +217,8 @@ let proto_roundtrip () =
     {
       Proto.trace_digest = String.make 64 'a'; worker = 1; max_hops = 4;
       dests = Some [ 1; 2 ]; grid = Some [| 1.; 2. |]; windows = Some [ (0., 10.) ];
-      supervise = Some (2, 0.05, 1., 0); ckpt_path = None; fingerprint = "fp"; domains = 2;
-      telemetry = true;
+      supervise = Some { S.default with retries = 2; task_deadline = Some 1.5; quarantine = false };
+      domains = 2; telemetry = true;
     }
   in
   List.iter
@@ -238,7 +238,7 @@ let proto_roundtrip () =
       | Error e -> Alcotest.failf "from_worker decode failed: %s" e)
     [
       Proto.Hello { worker = 1 }; Proto.Hello { worker = -1 };
-      Proto.Ready { worker = 1; resumed = 4 };
+      Proto.Ready { worker = 1 };
       Proto.Result { slot = 0; source = 5; partial = "bytes" };
       Proto.Failed { slot = 1; source = 6; attempts = 3; reason = "poison" }; Proto.Pong;
       Proto.Need_trace { digest = String.make 64 'c' }; Proto.Leave { worker = 2 };
@@ -256,20 +256,6 @@ let proto_roundtrip () =
   match Proto.decode_to_worker "not a marshal payload" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "garbage decoded"
-
-let fingerprint_sensitivity () =
-  let fp ?(trace = "t") ?(max_hops = 10) ?dests ?grid ?windows () =
-    Proto.job_fingerprint ~trace_text:trace ~max_hops ~dests ~grid ~windows
-  in
-  let base = fp () in
-  Alcotest.(check string) "deterministic" base (fp ());
-  List.iter
-    (fun (what, other) -> Alcotest.(check bool) (what ^ " changes it") true (other <> base))
-    [
-      ("trace", fp ~trace:"u" ()); ("max_hops", fp ~max_hops:9 ());
-      ("dests", fp ~dests:[ 0 ] ()); ("grid", fp ~grid:[| 1. |] ());
-      ("windows", fp ~windows:[ (0., 1.) ] ());
-    ]
 
 (* --- Transport --- *)
 
@@ -486,10 +472,9 @@ let partial_merge_bit_identity () =
 
 (* --- the coordinator, end to end --- *)
 
-(* [Spawn_exec] re-executes this test binary, which doubles as its own
-   worker (see the escape hatch in [Test_main]). [Spawn_fork] would be
-   cheaper but is illegal here: suites that ran earlier created domains,
-   and OCaml 5 forbids [Unix.fork] in a multi-domain process. *)
+(* The coordinator spawns workers by re-executing this test binary,
+   which doubles as its own worker (see the escape hatch in
+   [Test_main]). *)
 (* max_inflight = 2 keeps dispatch behind the chaos schedules below: a
    victim is always killed while it still has undispatched sources, so
    failover is required for completion rather than a timing accident. *)
@@ -539,16 +524,9 @@ let coord_kill_failover () =
       (fun v -> { Faultgen.after_results = 1 + v; victim = v; shard_fault = Faultgen.Worker_kill })
       [ 0; 1; 2 ]
   in
-  let ckpt_dir = Filename.temp_file "omn_shard" ".d" in
-  Sys.remove ckpt_dir;
-  Unix.mkdir ckpt_dir 0o700;
-  Fun.protect
-    ~finally:(fun () ->
-      Array.iter (fun f -> try Sys.remove (Filename.concat ckpt_dir f) with Sys_error _ -> ())
-        (Sys.readdir ckpt_dir);
-      try Unix.rmdir ckpt_dir with Unix.Unix_error _ -> ())
-  @@ fun () ->
-  let cfg = { (shard_cfg ~workers:3) with Coord.chaos; ckpt_dir = Some ckpt_dir } in
+  (* workers keep no results: the coordinator holds every acknowledged
+     partial, so the respawned workers recompute only what was in flight *)
+  let cfg = { (shard_cfg ~workers:3) with Coord.chaos } in
   match Coord.run ~max_hops ~grid cfg big_trace with
   | Error e -> Alcotest.failf "sharded run failed: %s" (Omn_robust.Err.to_string e)
   | Ok (curves, p, st) ->
@@ -558,6 +536,82 @@ let coord_kill_failover () =
     Alcotest.(check bool) "respawn happened" true (st.Coord.spawns > 3);
     Alcotest.(check bool) "reassignment recorded" true (st.Coord.reassigned > 0);
     Alcotest.(check bool) "a respawned worker rejoined" true (st.Coord.rejoins > 0)
+
+(* The fleet is an executor of [run_plan]: a budget stop is the
+   same plan-order prefix an in-process run reports, and the single
+   checkpoint format resumes across executors in both directions. *)
+let fleet_checkpoint_interop () =
+  let ckpt = Filename.temp_file "omn_fleet" ".ckpt" in
+  Sys.remove ckpt;
+  Fun.protect ~finally:(fun () -> Omn_robust.Checkpoint.remove ckpt) @@ fun () ->
+  let ok = function
+    | Ok v -> v
+    | Error e -> Alcotest.failf "run failed: %s" (Err.to_string e)
+  in
+  let local ?executor ?budget_seconds ~resume () =
+    ok
+      (Delay_cdf.compute_resumable ~max_hops ~grid ~checkpoint:ckpt ~resume ~checkpoint_every:2
+         ?budget_seconds ?executor trace)
+  in
+  let fleet ?budget_seconds ~resume () =
+    match
+      Coord.with_fleet ~max_hops ~grid (shard_cfg ~workers:2) trace (fun executor ->
+          local ~executor ?budget_seconds ~resume ())
+    with
+    | Ok (v, _) -> v
+    | Error e -> Alcotest.failf "fleet failed: %s" (Err.to_string e)
+  in
+  let stopped, p = fleet ~budget_seconds:0. ~resume:false () in
+  Alcotest.(check bool) "budgeted fleet run is partial" true p.Delay_cdf.partial;
+  Alcotest.(check int) "one chunk done" 2 p.Delay_cdf.sources_done;
+  let prefix = List.filteri (fun i _ -> i < 2) sources in
+  Alcotest.(check bool) "its sources are the plan-order prefix" true
+    (curves_equal stopped (Delay_cdf.compute ~max_hops ~grid ~sources:prefix trace));
+  let curves, p = local ~resume:true () in
+  Alcotest.(check bool) "in-process resume completes" false p.Delay_cdf.partial;
+  Alcotest.(check bool) "fleet -> in-process resume bit-identical" true
+    (curves_equal curves reference);
+  let _, p = local ~budget_seconds:0. ~resume:false () in
+  Alcotest.(check bool) "budgeted in-process run is partial" true p.Delay_cdf.partial;
+  let curves, p = fleet ~resume:true () in
+  Alcotest.(check bool) "fleet resume completes" false p.Delay_cdf.partial;
+  Alcotest.(check bool) "in-process -> fleet resume bit-identical" true
+    (curves_equal curves reference)
+
+(* A sampled estimate runs every tightening round as one batch on one
+   fleet: each worker is spawned and shipped the trace once. *)
+let fleet_estimate_one_session () =
+  let module Est = Omn_core.Diameter_est in
+  (* the instance of the sampling suite's resume test: several doubling
+     rounds before the sample is exhaustive *)
+  let e_trace = Util.random_trace (Rng.create 60) ~n:12 ~m:50 ~horizon:20 in
+  let max_hops = 4 and grid = Omn_stats.Grid.logarithmic ~lo:1. ~hi:50. ~n:25 in
+  let estimate ?partials_of () =
+    match
+      Est.estimate ~epsilon:0.05 ~max_hops ~grid ~sample:2 ~seed:3 ~ci_width:0.001 ~bootstrap:30
+        ?partials_of e_trace
+    with
+    | Ok e -> e
+    | Error e -> Alcotest.failf "estimate failed: %s" (Err.to_string e)
+  in
+  let local = estimate () in
+  Alcotest.(check bool) "at least two rounds" true (local.Est.rounds >= 2);
+  let workers = 2 in
+  match
+    Coord.with_fleet ~max_hops ~grid (shard_cfg ~workers) e_trace (fun executor ->
+        estimate
+          ~partials_of:(fun b -> List.map Result.get_ok (Array.to_list (executor b)))
+          ())
+  with
+  | Error e -> Alcotest.failf "fleet failed: %s" (Err.to_string e)
+  | Ok (e, st) ->
+    Alcotest.(check int) "same rounds" local.Est.rounds e.Est.rounds;
+    Alcotest.(check bool) "curves equal the in-process estimate" true
+      (curves_equal e.Est.curves local.Est.curves);
+    Alcotest.(check int) "one spawn per worker" workers st.Coord.spawns;
+    Alcotest.(check int) "trace shipped once per worker"
+      (workers * String.length (Trace_io.to_string e_trace))
+      st.Coord.trace_ship_bytes
 
 (* Deterministic membership schedules: a join mid-run, a leave mid-run,
    and a join followed by killing the joiner all keep the merge
@@ -814,7 +868,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_frame_decode_fuzz;
     QCheck_alcotest.to_alcotest prop_proto_decode_fuzz;
     Alcotest.test_case "protocol messages round-trip" `Quick proto_roundtrip;
-    Alcotest.test_case "job fingerprint tracks every parameter" `Quick fingerprint_sensitivity;
     Alcotest.test_case "transport address parsing" `Quick transport_parse;
     Alcotest.test_case "transport TCP listen/dial/frame; typed dial failure" `Quick
       transport_tcp_dial;
@@ -828,6 +881,8 @@ let suite =
       partial_merge_bit_identity;
     Alcotest.test_case "3-worker run bit-identical to single-process" `Quick coord_bit_identity;
     Alcotest.test_case "worker kill: failover, no source lost" `Quick coord_kill_failover;
+    Alcotest.test_case "fleet checkpoint resumes in process and back" `Quick
+      fleet_checkpoint_interop;
     Alcotest.test_case "membership churn: joins and leaves keep bit-identity" `Quick
       coord_membership;
     Alcotest.test_case "signal storm: EINTR never kills a live worker" `Quick coord_signal_storm;
@@ -836,4 +891,6 @@ let suite =
       coord_fleet_telemetry;
     Alcotest.test_case "exit-code precedence 124 > 3 > 0" `Quick exit_code_precedence;
     Alcotest.test_case "shard fault schedules deterministic" `Quick shard_schedule_properties;
+    Alcotest.test_case "sampled estimate: one fleet for every round" `Quick
+      fleet_estimate_one_session;
   ]
